@@ -37,6 +37,14 @@ std::future<ServeResult> ready_denial(
   return promise.get_future();
 }
 
+/// Per-tenant breaker counters, exported beside kServiceCounters.
+constexpr CounterRow<CircuitBreaker::Snapshot> kBreakerCounters[] = {
+    {&CircuitBreaker::Snapshot::opens, "cal_serve_breaker_opens_total",
+     "Circuit-breaker open + reopen transitions"},
+    {&CircuitBreaker::Snapshot::closes, "cal_serve_breaker_closes_total",
+     "Circuit-breaker half-open -> closed recoveries"},
+};
+
 const char* breaker_state_name(CircuitBreaker::State s) {
   switch (s) {
     case CircuitBreaker::State::Closed: return "closed";
@@ -374,7 +382,7 @@ EngineSubmission ServeEngine::submit(
   // mutex hop.
   if (snapshot_->tenant(out.decision.shard).healthy_slots() == 0 ||
       !state.breaker.try_admit(std::chrono::steady_clock::now())) {
-    state.stats.record_breaker_denied();
+    state.stats.add(&ServiceStats::breaker_denied);
     CAL_TRACE_EVENT(obs::EventType::Deny, state.trace_tenant,
                     snapshot_->epoch(), 0,
                     static_cast<double>(Admission::BreakerOpen));
@@ -383,7 +391,7 @@ EngineSubmission ServeEngine::submit(
     return out;
   }
   if (!state.bucket.try_acquire(std::chrono::steady_clock::now())) {
-    state.stats.record_over_quota();
+    state.stats.add(&ServiceStats::over_quota);
     CAL_TRACE_EVENT(obs::EventType::Deny, state.trace_tenant,
                     snapshot_->epoch(), 0,
                     static_cast<double>(Admission::OverQuota));
@@ -393,7 +401,7 @@ EngineSubmission ServeEngine::submit(
   }
   // Count before the push: a worker may complete the request the instant
   // it lands, and `completed` must never be observed above `submitted`.
-  state.stats.record_submitted();
+  state.stats.add(&ServiceStats::submitted);
   {
     // Pool bookkeeping BEFORE the push: once an item is visible in a
     // queue, pending_ already covers it, so a draining pool can never
@@ -427,7 +435,7 @@ EngineSubmission ServeEngine::submit(
     // successful push (the fault-injection site stands in for whatever
     // the future grows here — allocation, instrumentation) must leave
     // the engine exactly as if the submission never happened.
-    state.stats.record_submit_rejected();
+    state.stats.add(&ServiceStats::submitted, -1);
     state.bucket.refund();
     {
       MutexLock wlock(work_mu_);
@@ -438,7 +446,7 @@ EngineSubmission ServeEngine::submit(
     throw;
   }
   if (!pushed) {
-    state.stats.record_submit_rejected();
+    state.stats.add(&ServiceStats::submitted, -1);
     // The consumed token must not bill a request that was never
     // admitted — QueueFull shedding is not quota usage.
     state.bucket.refund();
@@ -454,7 +462,7 @@ EngineSubmission ServeEngine::submit(
     // making this read well-ordered after the close it lost to.
     CAL_ENSURE(accepting_.load(std::memory_order_acquire),
                "submit() after engine shutdown");
-    state.stats.record_queue_full();
+    state.stats.add(&ServiceStats::queue_full);
     CAL_TRACE_EVENT(obs::EventType::Deny, state.trace_tenant,
                     snapshot_->epoch(), 0,
                     static_cast<double>(Admission::QueueFull));
@@ -522,19 +530,21 @@ std::size_t ServeEngine::drop_queue(TenantState& st, ServeStatus status) {
   for (;;) {
     auto batch = st.q.try_pop_batch(64);
     if (batch.empty()) return n;
+    // The tenant vanished / changed width under the requests (Dropped) or
+    // the engine is stopping (ShutDown): move their admissions from
+    // `submitted` to `shed` — they were never served — then fail each
+    // with its typed terminal status.
+    const auto k = static_cast<std::ptrdiff_t>(batch.size());
+    st.stats.add(&ServiceStats::submitted, -k);
+    st.stats.add(&ServiceStats::shed, k);
     for (Pending& p : batch) {
-      // The tenant vanished / changed width under the request (Dropped)
-      // or the engine is stopping (ShutDown): fail it with its typed
-      // terminal status, and shed its admission back out of `submitted`
-      // — it was never served.
       ServeResult res;
       res.localized = false;
       res.status = status;
       res.verdict = Verdict::Reject;
       p.promise.set_value(res);
-      st.stats.record_shed();
-      ++n;
     }
+    n += batch.size();
   }
 }
 
@@ -659,13 +669,14 @@ bool ServeEngine::try_claim(std::size_t& cursor, Claim& out) {
       // healing deploy.
       auto doomed = state->q.drain_if([](const Pending&) { return true; });
       if (!doomed.empty()) {
+        state->stats.add(&ServiceStats::faulted,
+                         static_cast<std::ptrdiff_t>(doomed.size()));
         for (Pending& p : doomed) {
           ServeResult res;
           res.localized = false;
           res.status = ServeStatus::Faulted;
           p.promise.set_value(res);
         }
-        state->stats.record_faulted(doomed.size());
         {
           MutexLock wlock(work_mu_);
           pending_ -= static_cast<std::int64_t>(doomed.size());
@@ -687,13 +698,14 @@ bool ServeEngine::try_claim(std::size_t& cursor, Claim& out) {
       auto expired = state->q.drain_if(
           [now](const Pending& p) { return p.deadline <= now; });
       if (!expired.empty()) {
+        state->stats.add(&ServiceStats::expired,
+                         static_cast<std::ptrdiff_t>(expired.size()));
         for (Pending& p : expired) {
           ServeResult res;
           res.localized = false;
           res.status = ServeStatus::Expired;
           p.promise.set_value(res);
         }
-        state->stats.record_expired(expired.size());
         {
           MutexLock wlock(work_mu_);
           pending_ -= static_cast<std::int64_t>(expired.size());
@@ -781,7 +793,6 @@ void ServeEngine::process(Claim& claim, Rng& rng) {
   const std::shared_ptr<FingerprintCache>& cache = claim.cache;
   const std::shared_ptr<DriftMonitor>& drift = claim.drift;
   StatsCollector& stats = claim.state->stats;
-  stats.record_batch(claim.batch.size());
   // Unused when tracing is compiled out (their only readers are
   // CAL_TRACE_EVENT sites, which strip their arguments).
   [[maybe_unused]] const std::uint64_t trace_tenant =
@@ -816,6 +827,7 @@ void ServeEngine::process(Claim& claim, Rng& rng) {
     // inference row.
     const auto batch_now = std::chrono::steady_clock::now();
     std::vector<std::size_t> infer_rows;
+    std::size_t drift_flushes = 0;
     for (std::size_t i = 0; i < slots.size(); ++i) {
       Slot& s = slots[i];
       if (s.req.deadline <= batch_now) {
@@ -834,7 +846,7 @@ void ServeEngine::process(Claim& claim, Rng& rng) {
       // map, and must not be able to poison the trend into flushing.
       if (screen.enabled() && drift->record(s.res.anchor_distance)) {
         cache->clear();
-        stats.record_drift_flush();
+        ++drift_flushes;
         CAL_TRACE_EVENT(obs::EventType::DriftFlush, trace_tenant,
                         trace_epoch, claim.batch_id, 0.0);
         if (cfg_.obs.trip_on_drift)
@@ -955,52 +967,61 @@ void ServeEngine::process(Claim& claim, Rng& rng) {
       }
     }
 
-    // Phase 3 — fulfil promises and record telemetry. Only Served rows
-    // count as completions and feed the latency histogram; Expired and
-    // Faulted rows resolve their futures with the typed status and land
-    // in their own counters (still inside `submitted` — they consumed
-    // admission and queue space).
-    std::size_t served_n = 0;
-    std::size_t expired_n = 0;
-    std::size_t faulted_n = 0;
+    // Phase 3 — record the batch's telemetry in ONE stats call, then
+    // fulfil the promises, so a resolved future is always visible in
+    // stats(). Only Served rows count as completions and feed the latency
+    // histogram; Expired and Faulted rows resolve with the typed status
+    // and land in their own counters (still inside `submitted` — they
+    // consumed admission and queue space).
+    ServiceStats counts;
+    counts.batches = 1;
+    counts.batched_items = slots.size();
+    counts.largest_batch = slots.size();
+    counts.drift_flushes = drift_flushes;
+    std::vector<double> latency_ms;
+    latency_ms.reserve(slots.size());
     for (Slot& s : slots) {
-      if (s.res.status == ServeStatus::Served) {
-        s.res.latency_ms = ms_since(s.req.admitted_at);
-        ResultRecord rec;
-        rec.latency_ms = s.res.latency_ms;
-        rec.verdict = s.res.verdict;
-        rec.from_cache = s.res.from_cache;
-        rec.audited = s.audited;
-        rec.audit_mismatch = s.audit_mismatch;
-        rec.screened = screen.enabled();
-        rec.anchors_scanned = s.probe.scanned;
-        rec.anchors_pruned = s.probe.pruned;
-        stats.record_result(rec);
+      if (s.res.status == ServeStatus::Expired) {
+        ++counts.expired;
+        continue;
+      }
+      if (s.res.status != ServeStatus::Served) {
+        ++counts.faulted;
+        continue;
+      }
+      s.res.latency_ms = ms_since(s.req.admitted_at);
+      latency_ms.push_back(s.res.latency_ms);
+      ++counts.completed;
+      if (s.res.verdict == Verdict::Flag) ++counts.flagged;
+      if (s.res.verdict == Verdict::Reject) ++counts.rejected;
+      if (s.res.from_cache) ++counts.cache_hits;
+      if (s.audited) ++counts.cache_audits;
+      if (s.audit_mismatch) ++counts.cache_audit_mismatches;
+      if (screen.enabled()) {
+        ++counts.screened;
+        counts.anchors_scanned += s.probe.scanned;
+        counts.anchors_pruned += s.probe.pruned;
+      }
+    }
+    stats.record_batch(counts, latency_ms);
+    for (Slot& s : slots) {
+      if (s.res.status == ServeStatus::Served)
         CAL_TRACE_EVENT(obs::EventType::Complete, trace_tenant, trace_epoch,
                         claim.batch_id, s.res.latency_ms);
-        ++served_n;
-      } else if (s.res.status == ServeStatus::Expired) {
-        ++expired_n;
-      } else {
-        ++faulted_n;
-      }
       s.req.promise.set_value(s.res);
       s.fulfilled = true;
     }
-    if (expired_n > 0) {
-      stats.record_expired(expired_n);
+    if (counts.expired > 0)
       CAL_TRACE_EVENT(obs::EventType::Expire, trace_tenant, trace_epoch,
-                      claim.batch_id, static_cast<double>(expired_n));
-    }
-    if (faulted_n > 0) stats.record_faulted(faulted_n);
+                      claim.batch_id, static_cast<double>(counts.expired));
 
     // Feed the breaker: served rows prove the tenant works (closing a
     // half-open breaker, resetting the streak); all-fault batches grow
     // the consecutive-fault streak toward BreakerPolicy::fault_threshold.
     // Pure-expired batches say nothing about replica health.
-    if (served_n + faulted_n > 0) {
+    if (counts.completed + counts.faulted > 0) {
       const BreakerTransition tr = claim.state->breaker.on_batch(
-          std::chrono::steady_clock::now(), faulted_n, served_n);
+          std::chrono::steady_clock::now(), counts.faulted, counts.completed);
       if (tr != BreakerTransition::None)
         CAL_TRACE_EVENT(obs::EventType::Breaker, trace_tenant, trace_epoch,
                         claim.batch_id, static_cast<double>(tr));
@@ -1039,14 +1060,24 @@ MultiTenantStats ServeEngine::stats() const {
   std::vector<ServiceStats> snapshots;
   snapshots.reserve(order_.size());
   for (std::size_t i = 0; i < order_.size(); ++i) {
-    const auto& state = order_[i];
-    snapshots.push_back(state->stats.snapshot());
+    const TenantState& state = *order_[i];
+    const TenantDeployment& dep = snapshot_->tenant(i);
+    snapshots.push_back(state.stats.snapshot());
     TenantStats t;
-    t.tenant = state->key;
+    t.tenant = state.key;
     t.stats = snapshots.back();
-    t.drift = state->drift->snapshot();
-    t.breaker = state->breaker.snapshot();
-    t.quarantined_slots = snapshot_->tenant(i).quarantined_slots();
+    t.drift = state.drift->snapshot();
+    t.breaker = state.breaker.snapshot();
+    t.quarantined_slots = dep.quarantined_slots();
+    t.queue_depth = state.q.size();
+    t.queue_capacity = state.lane.queue_capacity;
+    t.lru_hits = state.cache->hits();
+    t.lru_misses = state.cache->misses();
+    t.lru_size = state.cache->size();
+    t.slots = dep.slots();
+    t.busy_slots = dep.busy_slots();
+    t.weight_bytes = dep.weight_bytes;
+    t.precision = dep.precision;
     out.per_tenant.push_back(std::move(t));
   }
   out.aggregate = aggregate_stats(snapshots);
@@ -1060,171 +1091,79 @@ MultiTenantStats ServeEngine::stats() const {
 }
 
 obs::MetricsRegistry ServeEngine::metrics() const {
+  const MultiTenantStats s = stats();
   obs::MetricsRegistry reg;
-  {
-    ReaderMutexLock lock(mu_);
-    for (std::size_t i = 0; i < order_.size(); ++i) {
-      const TenantState& state = *order_[i];
-      const TenantDeployment& dep = snapshot_->tenant(i);
-      const ServiceStats s = state.stats.snapshot();
-      const std::string tenant = state.key.str();
-      reg.add_counter("cal_serve_admissions_total",
-                      "Admission outcomes at the engine front door",
-                      {{"tenant", tenant}, {"outcome", "accepted"}},
-                      static_cast<double>(s.submitted));
-      reg.add_counter("cal_serve_admissions_total",
-                      "Admission outcomes at the engine front door",
-                      {{"tenant", tenant}, {"outcome", "over_quota"}},
-                      static_cast<double>(s.over_quota));
-      reg.add_counter("cal_serve_admissions_total",
-                      "Admission outcomes at the engine front door",
-                      {{"tenant", tenant}, {"outcome", "queue_full"}},
-                      static_cast<double>(s.queue_full));
-      reg.add_counter("cal_serve_admissions_total",
-                      "Admission outcomes at the engine front door",
-                      {{"tenant", tenant}, {"outcome", "breaker_open"}},
-                      static_cast<double>(s.breaker_denied));
-      reg.add_counter("cal_serve_expired_total",
-                      "Requests shed past their deadline",
-                      {{"tenant", tenant}},
-                      static_cast<double>(s.expired));
-      reg.add_counter("cal_serve_faulted_total",
-                      "Requests failed by replica faults",
-                      {{"tenant", tenant}},
-                      static_cast<double>(s.faulted));
-      reg.add_counter("cal_serve_shed_total",
-                      "Queued requests terminated unserved "
-                      "(tenant removed / shutdown)",
-                      {{"tenant", tenant}},
-                      static_cast<double>(s.shed));
-      const CircuitBreaker::Snapshot breaker = state.breaker.snapshot();
-      reg.add_gauge("cal_serve_breaker_state",
-                    "Circuit-breaker state: 0 closed, 1 open, 2 half-open",
-                    {{"tenant", tenant}},
-                    static_cast<double>(breaker.state));
-      reg.add_counter("cal_serve_breaker_opens_total",
-                      "Circuit-breaker open + reopen transitions",
-                      {{"tenant", tenant}},
-                      static_cast<double>(breaker.opens));
-      reg.add_counter("cal_serve_breaker_closes_total",
-                      "Circuit-breaker half-open -> closed recoveries",
-                      {{"tenant", tenant}},
-                      static_cast<double>(breaker.closes));
-      reg.add_counter("cal_serve_completed_total",
-                      "Requests fulfilled, any verdict",
-                      {{"tenant", tenant}},
-                      static_cast<double>(s.completed));
-      reg.add_counter("cal_serve_verdicts_total",
-                      "Screening verdicts on completed requests",
-                      {{"tenant", tenant}, {"verdict", "flagged"}},
-                      static_cast<double>(s.flagged));
-      reg.add_counter("cal_serve_verdicts_total",
-                      "Screening verdicts on completed requests",
-                      {{"tenant", tenant}, {"verdict", "rejected"}},
-                      static_cast<double>(s.rejected));
-      reg.add_counter("cal_serve_cache_hits_total",
-                      "Requests served from the fingerprint LRU",
-                      {{"tenant", tenant}},
-                      static_cast<double>(s.cache_hits));
-      reg.add_counter("cal_serve_cache_audits_total",
-                      "Cache hits re-inferred for verification",
-                      {{"tenant", tenant}},
-                      static_cast<double>(s.cache_audits));
-      reg.add_counter("cal_serve_cache_audit_mismatches_total",
-                      "Audited cache hits that disagreed with the model",
-                      {{"tenant", tenant}},
-                      static_cast<double>(s.cache_audit_mismatches));
-      reg.add_counter("cal_serve_drift_flushes_total",
-                      "Cache flushes forced by the drift trend",
-                      {{"tenant", tenant}},
-                      static_cast<double>(s.drift_flushes));
-      reg.add_counter("cal_serve_batches_total",
-                      "Micro-batches drained by pool workers",
-                      {{"tenant", tenant}},
-                      static_cast<double>(s.batches));
-      reg.add_counter("cal_serve_screened_total",
-                      "Requests that ran the anchor screen",
-                      {{"tenant", tenant}},
-                      static_cast<double>(s.screened));
-      reg.add_histogram("cal_serve_latency_ms",
-                        "Request latency (admission to fulfilment), ms",
-                        {{"tenant", tenant}}, s.latency);
-      reg.add_gauge("cal_serve_queue_depth",
-                    "Requests waiting in the tenant sub-queue",
-                    {{"tenant", tenant}},
-                    static_cast<double>(state.q.size()));
-      reg.add_gauge("cal_serve_queue_capacity",
-                    "Bounded sub-queue capacity",
-                    {{"tenant", tenant}},
-                    static_cast<double>(state.lane.queue_capacity));
-      const double lookups =
-          static_cast<double>(state.cache->hits() + state.cache->misses());
-      reg.add_gauge("cal_serve_lru_hit_ratio",
-                    "LRU hits over lookups, lifetime",
-                    {{"tenant", tenant}},
-                    lookups > 0.0
-                        ? static_cast<double>(state.cache->hits()) / lookups
-                        : 0.0);
-      reg.add_gauge("cal_serve_lru_size", "Entries in the fingerprint LRU",
-                    {{"tenant", tenant}},
-                    static_cast<double>(state.cache->size()));
-      reg.add_gauge("cal_serve_replica_slots",
-                    "Replica slots (max concurrent batches)",
-                    {{"tenant", tenant}},
-                    static_cast<double>(dep.slots()));
-      reg.add_gauge("cal_serve_replica_slots_busy",
-                    "Replica slots currently checked out",
-                    {{"tenant", tenant}},
-                    static_cast<double>(dep.busy_slots()));
-      reg.add_gauge("cal_serve_replica_slots_quarantined",
-                    "Replica slots retired from rotation by faults",
-                    {{"tenant", tenant}},
-                    static_cast<double>(dep.quarantined_slots()));
-      reg.add_gauge("cal_serve_weight_bytes",
-                    "Resident model weight bytes across replica slots",
-                    {{"tenant", tenant}},
-                    static_cast<double>(dep.weight_bytes));
-      reg.add_gauge("cal_serve_precision_int8",
-                    "1 when this tenant serves int8-quantized replicas",
-                    {{"tenant", tenant}},
-                    dep.precision == Precision::Int8 ? 1.0 : 0.0);
-      const DriftTrend drift = state.drift->snapshot();
-      if (drift.enabled) {
-        reg.add_gauge("cal_serve_drift_baseline_mean",
-                      "Pinned drift baseline window mean (-1 while pinning)",
-                      {{"tenant", tenant}}, drift.baseline_mean);
-        reg.add_gauge(
-            "cal_serve_drift_last_window_mean",
-            "Most recent completed drift window mean (-1 before one)",
-            {{"tenant", tenant}}, drift.last_window_mean);
+  for (const TenantStats& t : s.per_tenant) {
+    const std::string tenant = t.tenant.str();
+    // The one per-tenant counter loop, over the counter tables.
+    const auto add_counters = [&](const auto& rows, const auto& source) {
+      for (const auto& row : rows) {
+        if (row.family == nullptr) continue;
+        std::vector<obs::MetricLabel> labels{{"tenant", tenant}};
+        if (row.label_key != nullptr)
+          labels.push_back({row.label_key, row.label_value});
+        reg.add_counter(row.family, row.help, std::move(labels),
+                        static_cast<double>(source.*row.member));
       }
+    };
+    const auto gauge = [&](const char* name, const char* help, double v) {
+      reg.add_gauge(name, help, {{"tenant", tenant}}, v);
+    };
+    add_counters(kServiceCounters, t.stats);
+    gauge("cal_serve_breaker_state",
+          "Circuit-breaker state: 0 closed, 1 open, 2 half-open",
+          static_cast<double>(t.breaker.state));
+    add_counters(kBreakerCounters, t.breaker);
+    reg.add_histogram("cal_serve_latency_ms",
+                      "Request latency (admission to fulfilment), ms",
+                      {{"tenant", tenant}}, t.stats.latency);
+    gauge("cal_serve_queue_depth", "Requests waiting in the tenant sub-queue",
+          static_cast<double>(t.queue_depth));
+    gauge("cal_serve_queue_capacity", "Bounded sub-queue capacity",
+          static_cast<double>(t.queue_capacity));
+    const double lookups = static_cast<double>(t.lru_hits + t.lru_misses);
+    gauge("cal_serve_lru_hit_ratio", "LRU hits over lookups, lifetime",
+          lookups > 0.0 ? static_cast<double>(t.lru_hits) / lookups : 0.0);
+    gauge("cal_serve_lru_size", "Entries in the fingerprint LRU",
+          static_cast<double>(t.lru_size));
+    gauge("cal_serve_replica_slots", "Replica slots (max concurrent batches)",
+          static_cast<double>(t.slots));
+    gauge("cal_serve_replica_slots_busy", "Replica slots currently checked out",
+          static_cast<double>(t.busy_slots));
+    gauge("cal_serve_replica_slots_quarantined",
+          "Replica slots retired from rotation by faults",
+          static_cast<double>(t.quarantined_slots));
+    gauge("cal_serve_weight_bytes",
+          "Resident model weight bytes across replica slots",
+          static_cast<double>(t.weight_bytes));
+    gauge("cal_serve_precision_int8",
+          "1 when this tenant serves int8-quantized replicas",
+          t.precision == Precision::Int8 ? 1.0 : 0.0);
+    if (t.drift.enabled) {
+      gauge("cal_serve_drift_baseline_mean",
+            "Pinned drift baseline window mean (-1 while pinning)",
+            t.drift.baseline_mean);
+      gauge("cal_serve_drift_last_window_mean",
+            "Most recent completed drift window mean (-1 before one)",
+            t.drift.last_window_mean);
     }
-    reg.add_gauge("cal_serve_deploy_epoch",
-                  "Epoch of the live deployment snapshot", {},
-                  static_cast<double>(snapshot_->epoch()));
-    reg.add_gauge("cal_serve_tenants", "Deployed tenants", {},
-                  static_cast<double>(order_.size()));
   }
-  reg.add_counter("cal_serve_route_total", "Routing outcomes",
-                  {{"status", "exact"}},
-                  static_cast<double>(
-                      route_exact_.load(std::memory_order_relaxed)));
-  reg.add_counter("cal_serve_route_total", "Routing outcomes",
-                  {{"status", "fallback"}},
-                  static_cast<double>(
-                      route_fallback_.load(std::memory_order_relaxed)));
-  reg.add_counter("cal_serve_route_total", "Routing outcomes",
-                  {{"status", "rejected"}},
-                  static_cast<double>(
-                      route_rejected_.load(std::memory_order_relaxed)));
+  reg.add_gauge("cal_serve_deploy_epoch",
+                "Epoch of the live deployment snapshot", {},
+                static_cast<double>(s.snapshot_epoch));
+  reg.add_gauge("cal_serve_tenants", "Deployed tenants", {},
+                static_cast<double>(s.per_tenant.size()));
+  for (const auto& [status, n] : {std::pair{"exact", s.route_exact},
+                                  std::pair{"fallback", s.route_fallback},
+                                  std::pair{"rejected", s.route_rejected}})
+    reg.add_counter("cal_serve_route_total", "Routing outcomes",
+                    {{"status", status}}, static_cast<double>(n));
   reg.add_counter("cal_serve_deploys_total",
                   "deploy() calls since engine construction", {},
-                  static_cast<double>(
-                      deploys_.load(std::memory_order_relaxed)));
+                  static_cast<double>(s.deploys));
   reg.add_counter("cal_serve_reload_flushes_total",
                   "Tenant reloads that flushed cache and drift state", {},
-                  static_cast<double>(
-                      reload_flushes_.load(std::memory_order_relaxed)));
+                  static_cast<double>(s.reload_flushes));
   reg.add_gauge("cal_serve_pool_size", "Shared worker threads", {},
                 static_cast<double>(cfg_.pool_size));
 

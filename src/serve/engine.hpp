@@ -230,7 +230,8 @@ struct EngineSubmission {
   std::future<ServeResult> result;
 };
 
-/// Per-tenant entry of a MultiTenantStats snapshot.
+/// Per-tenant entry of a MultiTenantStats snapshot: the lane's counters
+/// plus the gauges read from live engine state in the same pass.
 struct TenantStats {
   TenantKey tenant;
   ServiceStats stats;
@@ -241,6 +242,17 @@ struct TenantStats {
   CircuitBreaker::Snapshot breaker;
   /// Replica slots retired from this tenant's live deployment.
   std::size_t quarantined_slots = 0;
+  std::size_t queue_depth = 0;     ///< requests waiting in the sub-queue
+  std::size_t queue_capacity = 0;  ///< bounded sub-queue capacity
+  /// Lookups on the live LRU (a reload starts a fresh one; a drift flush
+  /// empties it but keeps these counts).
+  std::size_t lru_hits = 0;
+  std::size_t lru_misses = 0;
+  std::size_t lru_size = 0;        ///< entries in the LRU
+  std::size_t slots = 0;           ///< replica slots of the deployment
+  std::size_t busy_slots = 0;      ///< slots checked out right now
+  std::size_t weight_bytes = 0;    ///< resident weights across the slots
+  Precision precision = Precision::Fp32;
 };
 
 /// Fleet snapshot: every tenant's stats, their aggregate, the route mix,
@@ -307,13 +319,15 @@ class ServeEngine {
   /// Idempotent; also run by the destructor.
   void shutdown();
 
+  /// The engine's one telemetry read: every tenant's counters and
+  /// gauges, their aggregate, routing and deployment counters.
   MultiTenantStats stats() const;
 
-  /// The full metrics surface as one point-in-time registry: per-tenant
-  /// admission/verdict/cache counters, queue depth and capacity, LRU hit
-  /// ratio and size, replica-slot occupancy, latency histograms, drift
-  /// trend gauges, routing and deployment counters, deploy epoch, GEMM
-  /// pool task timing, and tracer/flight-recorder health. Encode it with
+  /// stats() encoded as one point-in-time metrics registry — per-tenant
+  /// counters from the kServiceCounters table, breaker, queue, LRU,
+  /// replica-slot and drift gauges, latency histograms, routing and
+  /// deployment counters — plus the process-wide GEMM pool task timing
+  /// and tracer/flight-recorder health. Encode it with
   /// MetricsRegistry::prometheus_text() or ::json().
   obs::MetricsRegistry metrics() const;
 

@@ -1,15 +1,15 @@
-// Bounded multi-producer request queue with batched consumption.
+// Bounded multi-producer request queue with batched, non-blocking
+// consumption.
 //
-// The serving front door pushes one request at a time from arbitrarily many
-// client threads; worker threads drain up to `max_items` requests in one
-// pop so the inference layer sees micro-batches instead of single
-// fingerprints. The queue is the overload valve: when `capacity` requests
-// are already waiting, push() blocks the producer (legacy backpressure)
-// while try_push() refuses immediately — ServeEngine uses one BoundedQueue
-// per tenant with the try_ flavour, turning overload into the typed
-// Admission::QueueFull outcome instead of a blocked client thread (a
-// surge from a compromised fleet must not exhaust server memory either
-// way).
+// ServeEngine keeps one BoundedQueue per tenant. submit() pushes one
+// request at a time from arbitrarily many client threads with try_push(),
+// which refuses a full (or closed) queue immediately — overload becomes
+// the typed Admission::QueueFull outcome instead of a blocked client
+// thread, and a surge from a compromised fleet cannot exhaust server
+// memory. Pool workers scan many queues and must never park on one:
+// try_pop_batch() drains up to `max_items` requests so inference sees
+// micro-batches, and drain_if() sheds expired requests at dequeue. No
+// call ever waits; the pool parks on the engine's own condition variable.
 #pragma once
 
 #include <cstddef>
@@ -22,9 +22,8 @@
 
 namespace cal::serve {
 
-/// Mutex/condvar bounded queue. Producers block while full; consumers
-/// block while empty. close() wakes everyone: subsequent pushes fail and
-/// pop_batch() drains the remaining items, then returns empty batches.
+/// Mutex-guarded bounded queue whose every operation returns at once.
+/// close() makes later pushes fail; the items already queued still drain.
 template <typename T>
 class BoundedQueue {
  public:
@@ -32,104 +31,54 @@ class BoundedQueue {
     CAL_ENSURE(capacity_ > 0, "queue capacity must be positive");
   }
 
-  /// Enqueue one item (moves from `item`). Blocks while the queue is at
-  /// capacity. Returns false (leaving `item` untouched by the queue) when
-  /// the queue has been closed.
-  bool push(T&& item) CAL_EXCLUDES(mu_) {
-    {
-      MutexLock lock(mu_);
-      while (!closed_ && items_.size() >= capacity_) not_full_.wait(mu_);
-      if (closed_) return false;
-      items_.push_back(std::move(item));
-    }
-    not_empty_.notify_one();
-    return true;
-  }
-
-  /// Non-blocking push: returns false immediately — leaving `item`
-  /// untouched — when the queue is full or closed, instead of waiting
-  /// for a slot. This is the admission-control flavour the serving
-  /// engine's typed submit() uses: overload is reported to the caller as
-  /// Admission::QueueFull rather than absorbed as producer back-pressure.
+  /// Enqueue one item (moves from `item`), or return false at once —
+  /// leaving `item` untouched — when the queue is full or closed.
   CAL_HOT_PATH
   bool try_push(T&& item, std::size_t* depth_after = nullptr)
       CAL_EXCLUDES(mu_) {
-    {
-      MutexLock lock(mu_);
-      if (closed_ || items_.size() >= capacity_) return false;
-      items_.push_back(std::move(item));
-      // Reported under the lock already held for the push: callers that
-      // want the post-push depth (trace events) must not pay a second
-      // mutex round-trip via size().
-      if (depth_after != nullptr) *depth_after = items_.size();
-    }
-    not_empty_.notify_one();
+    MutexLock lock(mu_);
+    if (closed_ || items_.size() >= capacity_) return false;
+    items_.push_back(std::move(item));
+    // Reported under the lock already held for the push: callers that
+    // want the post-push depth (trace events) must not pay a second
+    // mutex round-trip via size().
+    if (depth_after != nullptr) *depth_after = items_.size();
     return true;
   }
 
-  /// Dequeue up to `max_items` items in arrival order. Blocks until at
-  /// least one item is available or the queue is closed; an empty result
-  /// means closed-and-drained (the consumer should exit).
-  std::vector<T> pop_batch(std::size_t max_items) CAL_EXCLUDES(mu_) {
-    CAL_ENSURE(max_items > 0, "pop_batch needs max_items > 0");
-    std::vector<T> batch;
-    {
-      MutexLock lock(mu_);
-      while (!closed_ && items_.empty()) not_empty_.wait(mu_);
-      const std::size_t n = std::min(max_items, items_.size());
-      batch.reserve(n);
-      for (std::size_t i = 0; i < n; ++i) {
-        batch.push_back(std::move(items_.front()));
-        items_.pop_front();
-      }
-    }
-    // Draining may have unblocked several producers; closing must wake
-    // every waiting consumer so the pool can exit.
-    not_full_.notify_all();
-    return batch;
-  }
-
-  /// Non-blocking drain: up to `max_items` items if any are queued,
-  /// empty otherwise — never waits. Used by pool workers that scan many
-  /// queues and must not park on an empty one.
+  /// Dequeue up to `max_items` items in arrival order; empty when none
+  /// are queued.
   CAL_HOT_PATH
   std::vector<T> try_pop_batch(std::size_t max_items) CAL_EXCLUDES(mu_) {
     CAL_ENSURE(max_items > 0, "try_pop_batch needs max_items > 0");
     std::vector<T> batch;
-    {
-      MutexLock lock(mu_);
-      const std::size_t n = std::min(max_items, items_.size());
-      batch.reserve(n);
-      for (std::size_t i = 0; i < n; ++i) {
-        batch.push_back(std::move(items_.front()));
-        items_.pop_front();
-      }
+    MutexLock lock(mu_);
+    const std::size_t n = std::min(max_items, items_.size());
+    batch.reserve(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      batch.push_back(std::move(items_.front()));
+      items_.pop_front();
     }
-    if (!batch.empty()) not_full_.notify_all();
     return batch;
   }
 
   /// Remove and return every queued item matching `pred`, preserving
-  /// arrival order among survivors. Never waits. The engine's deadline
-  /// shedding uses this at dequeue time: expired requests leave the queue
-  /// (and get their typed terminal result) without ever costing a replica
+  /// arrival order among survivors. The engine's deadline shedding uses
+  /// this at dequeue time: expired requests leave the queue (and get
+  /// their typed terminal result) without ever costing a replica
   /// checkout or a batch slot.
   template <typename Pred>
   std::vector<T> drain_if(Pred pred) CAL_EXCLUDES(mu_) {
     std::vector<T> removed;
-    {
-      MutexLock lock(mu_);
-      for (auto it = items_.begin(); it != items_.end();) {
-        if (pred(*it)) {
-          removed.push_back(std::move(*it));
-          it = items_.erase(it);
-        } else {
-          ++it;
-        }
+    MutexLock lock(mu_);
+    for (auto it = items_.begin(); it != items_.end();) {
+      if (pred(*it)) {
+        removed.push_back(std::move(*it));
+        it = items_.erase(it);
+      } else {
+        ++it;
       }
     }
-    // Freed capacity may unblock producers parked in push().
-    if (!removed.empty()) not_full_.notify_all();
     return removed;
   }
 
@@ -139,26 +88,14 @@ class BoundedQueue {
   /// normally — admitted requests are never dropped by a resize.
   void set_capacity(std::size_t capacity) CAL_EXCLUDES(mu_) {
     CAL_ENSURE(capacity > 0, "queue capacity must be positive");
-    {
-      MutexLock lock(mu_);
-      capacity_ = capacity;
-    }
-    not_full_.notify_all();  // a grown queue may unblock producers
-  }
-
-  /// Close the queue: future pushes fail, consumers drain then stop.
-  void close() CAL_EXCLUDES(mu_) {
-    {
-      MutexLock lock(mu_);
-      closed_ = true;
-    }
-    not_full_.notify_all();
-    not_empty_.notify_all();
-  }
-
-  bool closed() const CAL_EXCLUDES(mu_) {
     MutexLock lock(mu_);
-    return closed_;
+    capacity_ = capacity;
+  }
+
+  /// Close the queue: future pushes fail; queued items still drain.
+  void close() CAL_EXCLUDES(mu_) {
+    MutexLock lock(mu_);
+    closed_ = true;
   }
 
   std::size_t size() const CAL_EXCLUDES(mu_) {
@@ -168,8 +105,6 @@ class BoundedQueue {
 
  private:
   mutable Mutex mu_;
-  CondVar not_full_;
-  CondVar not_empty_;
   std::deque<T> items_ CAL_GUARDED_BY(mu_);
   std::size_t capacity_ CAL_GUARDED_BY(mu_);
   bool closed_ CAL_GUARDED_BY(mu_) = false;

@@ -80,7 +80,7 @@ struct TenantSpec {
   /// disables screening for this shard.
   Tensor anchors;
   /// Shard-local lane configuration: replica slots, batching, cache,
-  /// screening thresholds, drift policy, admission quota, seed.
+  /// screening thresholds, drift policy, admission quota, breaker.
   ServiceConfig service;
   /// Serving precision (see Precision). Int8 is validated at
   /// register/reload time (needs a factory) and applied at publish()
@@ -175,10 +175,9 @@ class ModelRegistry {
 };
 
 /// THE tenant-resolution policy — exact key, then the profile fallback
-/// chain, else miss — in one place, shared by ModelRegistry::resolve,
-/// ShardRouter::route, and DeploymentSnapshot::route (each runs it over
-/// its own key snapshot). `contains` answers membership over whichever
-/// key set the caller holds.
+/// chain, else miss — in one place, shared by ModelRegistry::resolve and
+/// DeploymentSnapshot::route (each runs it over its own key set).
+/// `contains` answers membership over whichever key set the caller holds.
 template <typename ContainsFn>
 ModelRegistry::Resolution resolve_tenant(const TenantKey& request,
                                          std::span<const std::string> fallbacks,

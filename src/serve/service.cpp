@@ -61,15 +61,6 @@ bool DriftMonitor::record(double distance) {
   return flush;
 }
 
-void DriftMonitor::reset() {
-  MutexLock lock(mu_);
-  baseline_mean_ = -1.0;
-  last_window_mean_ = -1.0;
-  windows_completed_ = 0;
-  current_sum_ = 0.0;
-  current_n_ = 0;
-}
-
 DriftTrend DriftMonitor::snapshot() const {
   MutexLock lock(mu_);
   DriftTrend t;

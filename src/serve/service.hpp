@@ -1,17 +1,20 @@
 // Serving-lane primitives.
 //
 // This header defines the vocabulary every layer of the serving stack
-// shares: ServeResult (what a request resolves to), ReplicaFactory (how a
-// trained model is deployed), ServiceConfig (per-tenant lane tuning:
-// batching, cache, screening thresholds, drift policy, admission quota),
+// shares: ServeResult (what a request resolves to, with its typed
+// ServeStatus), ReplicaFactory (how a trained model is deployed),
+// ServiceConfig (per-tenant lane tuning: replica slots, batching, cache,
+// screening thresholds, drift policy, admission quota, circuit breaker),
 // and the DriftMonitor that watches a tenant's screening-distance trend.
+// A lane's counters are ServiceStats, defined once in stats.hpp.
 //
 // Execution lives in ServeEngine (engine.hpp): ONE shared worker pool
 // runs micro-batches for every registered tenant, with per-tenant bounded
 // sub-queues and token-bucket admission. Build a ModelRegistry,
-// publish() a DeploymentSnapshot, and talk to ServeEngine directly. (The
-// PR 2-era LocalizationService / MultiTenantService shims reached the
-// end of their declared one-PR lifetime and are gone.)
+// publish() a DeploymentSnapshot, and talk to ServeEngine directly. The
+// engine owns each tenant's DriftMonitor and swaps in a fresh one when
+// the tenant is hot-reloaded, so the new radio map pins its own baseline
+// instead of being judged against the retired deployment's.
 #pragma once
 
 #include <cstdint>
@@ -108,12 +111,6 @@ class DriftMonitor {
   /// window then becomes the new baseline.
   bool record(double distance) CAL_EXCLUDES(mu_);
 
-  /// Forget the baseline and the in-progress window — the engine calls
-  /// this when a tenant is hot-reloaded: the new radio map's distance
-  /// distribution must pin a fresh baseline, not be judged against the
-  /// retired deployment's.
-  void reset() CAL_EXCLUDES(mu_);
-
   /// Point-in-time copy of the trend for telemetry.
   DriftTrend snapshot() const CAL_EXCLUDES(mu_);
 
@@ -183,8 +180,6 @@ struct ServiceConfig {
   QuotaPolicy quota;
   /// Fault circuit breaker; disabled by default.
   BreakerPolicy breaker;
-  /// Base seed for the per-worker Rng streams.
-  std::uint64_t seed = 2026;
 };
 
 }  // namespace cal::serve

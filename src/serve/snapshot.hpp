@@ -131,14 +131,14 @@ class DeploymentSnapshot {
   std::size_t num_tenants() const { return tenants_.size(); }
 
   /// Tenants are str()-sorted by key — the same deterministic shard
-  /// numbering ModelRegistry::keys() and ShardRouter use.
+  /// numbering as ModelRegistry::keys().
   const TenantDeployment& tenant(std::size_t shard) const;
 
   const TenantDeployment* find(const TenantKey& key) const;
 
   /// Exact → profile-fallback-chain → deterministic reject, over this
-  /// snapshot's key set (resolve_tenant, the one policy shared with the
-  /// registry and router).
+  /// snapshot's key set (resolve_tenant, the one policy shared with
+  /// ModelRegistry::resolve).
   RouteDecision route(const TenantKey& request) const;
 
   const std::vector<std::string>& fallbacks() const { return fallbacks_; }

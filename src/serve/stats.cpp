@@ -35,123 +35,60 @@ std::string ServiceStats::str() const {
   return os.str();
 }
 
+namespace {
+
+/// Add `from`'s counters into `into`: the kServiceCounters sums, the
+/// largest-batch max and the latency histogram.
+void merge_counters(ServiceStats& into, const ServiceStats& from) {
+  for (const auto& row : kServiceCounters)
+    into.*row.member += from.*row.member;
+  into.largest_batch = std::max(into.largest_batch, from.largest_batch);
+  into.latency.merge(from.latency);
+}
+
+/// Fill the figures derived from the counters and wall_seconds.
+void derive(ServiceStats& s) {
+  if (s.latency.count() > 0) {
+    s.latency_mean_ms = s.latency.mean();
+    s.latency_p50_ms = s.latency.quantile(0.50);
+    s.latency_p95_ms = s.latency.quantile(0.95);
+    s.latency_p99_ms = s.latency.quantile(0.99);
+  }
+  if (s.screened > 0)
+    s.mean_anchors_scanned = static_cast<double>(s.anchors_scanned) /
+                             static_cast<double>(s.screened);
+  if (s.batches > 0)
+    s.mean_batch_size = static_cast<double>(s.batched_items) /
+                        static_cast<double>(s.batches);
+  if (s.wall_seconds > 0.0)
+    s.throughput_rps = static_cast<double>(s.completed) / s.wall_seconds;
+}
+
+}  // namespace
+
 ServiceStats aggregate_stats(std::span<const ServiceStats> shards) {
   ServiceStats agg;
   for (const ServiceStats& s : shards) {
-    agg.submitted += s.submitted;
-    agg.completed += s.completed;
-    agg.over_quota += s.over_quota;
-    agg.queue_full += s.queue_full;
-    agg.breaker_denied += s.breaker_denied;
-    agg.expired += s.expired;
-    agg.faulted += s.faulted;
-    agg.shed += s.shed;
-    agg.cache_hits += s.cache_hits;
-    agg.cache_audits += s.cache_audits;
-    agg.cache_audit_mismatches += s.cache_audit_mismatches;
-    agg.flagged += s.flagged;
-    agg.rejected += s.rejected;
-    agg.screened += s.screened;
-    agg.anchors_scanned += s.anchors_scanned;
-    agg.anchors_pruned += s.anchors_pruned;
-    agg.drift_flushes += s.drift_flushes;
-    agg.batches += s.batches;
-    agg.largest_batch = std::max(agg.largest_batch, s.largest_batch);
+    merge_counters(agg, s);
     agg.wall_seconds = std::max(agg.wall_seconds, s.wall_seconds);
-    agg.latency.merge(s.latency);
   }
-  if (agg.latency.count() > 0) {
-    agg.latency_mean_ms = agg.latency.mean();
-    agg.latency_p50_ms = agg.latency.quantile(0.50);
-    agg.latency_p95_ms = agg.latency.quantile(0.95);
-    agg.latency_p99_ms = agg.latency.quantile(0.99);
-  }
-  if (agg.screened > 0)
-    agg.mean_anchors_scanned = static_cast<double>(agg.anchors_scanned) /
-                               static_cast<double>(agg.screened);
-  if (agg.batches > 0) {
-    // Recover summed batch items from each shard's mean to keep the
-    // aggregate mean exact.
-    double items = 0.0;
-    for (const ServiceStats& s : shards)
-      items += s.mean_batch_size * static_cast<double>(s.batches);
-    agg.mean_batch_size = items / static_cast<double>(agg.batches);
-  }
-  if (agg.wall_seconds > 0.0)
-    agg.throughput_rps =
-        static_cast<double>(agg.completed) / agg.wall_seconds;
+  derive(agg);
   return agg;
 }
 
 StatsCollector::StatsCollector() : start_(std::chrono::steady_clock::now()) {}
 
-void StatsCollector::record_submitted() {
+void StatsCollector::add(Counter counter, std::ptrdiff_t n) {
   MutexLock lock(mu_);
-  ++submitted_;
+  // Unsigned wrap-around makes a negative n a decrement.
+  block_.*counter += static_cast<std::size_t>(n);
 }
 
-void StatsCollector::record_submit_rejected() {
+void StatsCollector::record_batch(const ServiceStats& counts,
+                                  std::span<const double> latency_ms) {
   MutexLock lock(mu_);
-  --submitted_;
-}
-
-void StatsCollector::record_over_quota() {
-  MutexLock lock(mu_);
-  ++over_quota_;
-}
-
-void StatsCollector::record_queue_full() {
-  MutexLock lock(mu_);
-  ++queue_full_;
-}
-
-void StatsCollector::record_breaker_denied() {
-  MutexLock lock(mu_);
-  ++breaker_denied_;
-}
-
-void StatsCollector::record_expired(std::size_t n) {
-  MutexLock lock(mu_);
-  expired_ += n;
-}
-
-void StatsCollector::record_faulted(std::size_t n) {
-  MutexLock lock(mu_);
-  faulted_ += n;
-}
-
-void StatsCollector::record_shed() {
-  MutexLock lock(mu_);
-  --submitted_;
-  ++shed_;
-}
-
-void StatsCollector::record_batch(std::size_t batch_size) {
-  MutexLock lock(mu_);
-  ++batches_;
-  batched_items_ += batch_size;
-  largest_batch_ = std::max(largest_batch_, batch_size);
-}
-
-void StatsCollector::record_result(const ResultRecord& r) {
-  MutexLock lock(mu_);
-  ++completed_;
-  latency_.record(r.latency_ms);
-  if (r.from_cache) ++cache_hits_;
-  if (r.audited) ++cache_audits_;
-  if (r.audit_mismatch) ++cache_audit_mismatches_;
-  if (r.verdict == Verdict::Flag) ++flagged_;
-  if (r.verdict == Verdict::Reject) ++rejected_;
-  if (r.screened) {
-    ++screened_;
-    anchors_scanned_ += r.anchors_scanned;
-    anchors_pruned_ += r.anchors_pruned;
-  }
-}
-
-void StatsCollector::record_drift_flush() {
-  MutexLock lock(mu_);
-  ++drift_flushes_;
+  merge_counters(block_, counts);
+  for (const double ms : latency_ms) block_.latency.record(ms);
 }
 
 void StatsCollector::reset_clock() {
@@ -160,50 +97,21 @@ void StatsCollector::reset_clock() {
 }
 
 ServiceStats StatsCollector::snapshot() const {
-  MutexLock lock(mu_);
   ServiceStats s;
-  s.submitted = submitted_;
-  s.completed = completed_;
-  s.over_quota = over_quota_;
-  s.queue_full = queue_full_;
-  s.breaker_denied = breaker_denied_;
-  s.expired = expired_;
-  s.faulted = faulted_;
-  s.shed = shed_;
-  s.cache_hits = cache_hits_;
-  s.cache_audits = cache_audits_;
-  s.cache_audit_mismatches = cache_audit_mismatches_;
-  s.flagged = flagged_;
-  s.rejected = rejected_;
-  s.screened = screened_;
-  s.anchors_scanned = anchors_scanned_;
-  s.anchors_pruned = anchors_pruned_;
-  if (screened_ > 0)
-    s.mean_anchors_scanned = static_cast<double>(anchors_scanned_) /
-                             static_cast<double>(screened_);
-  s.drift_flushes = drift_flushes_;
-  s.batches = batches_;
-  s.largest_batch = largest_batch_;
-  if (batches_ > 0)
-    s.mean_batch_size =
-        static_cast<double>(batched_items_) / static_cast<double>(batches_);
-  s.latency = latency_;
-  if (latency_.count() > 0) {
-    s.latency_mean_ms = latency_.mean();
-    s.latency_p50_ms = latency_.quantile(0.50);
-    s.latency_p95_ms = latency_.quantile(0.95);
-    s.latency_p99_ms = latency_.quantile(0.99);
+  std::chrono::steady_clock::duration elapsed{};
+  {
+    MutexLock lock(mu_);
+    s = block_;
+    elapsed = std::chrono::steady_clock::now() - start_;
   }
-  const auto elapsed = std::chrono::steady_clock::now() - start_;
   s.wall_seconds = std::chrono::duration<double>(elapsed).count();
-  if (s.wall_seconds > 0.0)
-    s.throughput_rps = static_cast<double>(completed_) / s.wall_seconds;
+  derive(s);
   return s;
 }
 
 double StatsCollector::latency_p99_ms() const {
   MutexLock lock(mu_);
-  return latency_.quantile(0.99);
+  return block_.latency.quantile(0.99);
 }
 
 }  // namespace cal::serve

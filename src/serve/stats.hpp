@@ -1,24 +1,28 @@
 // Serving telemetry: the numbers an operator watches on a dashboard.
 //
-// One StatsCollector per shard lane — every counter is shard-local, so a
+// One StatsCollector per tenant lane — every counter is lane-local, so a
 // multi-tenant deployment reads per-tenant health directly and combines
-// shards with aggregate_stats() for the fleet-wide view.
+// lanes with aggregate_stats() for the fleet-wide view.
+//
+// The per-tenant counter set is defined once: a ServiceStats field plus
+// its row in kServiceCounters. The collector keeps one ServiceStats block,
+// aggregate_stats() sums the table's rows, and ServeEngine::metrics()
+// exports every row that names a metric family — so a new counter is a
+// field and a table row, nothing else.
 #pragma once
 
 #include <chrono>
 #include <cstddef>
 #include <span>
 #include <string>
-#include <vector>
 
 #include "common/hot_path_annotations.hpp"
 #include "common/thread_annotations.hpp"
 #include "obs/histogram.hpp"
-#include "serve/screening.hpp"
 
 namespace cal::serve {
 
-/// Point-in-time snapshot of one shard lane's health. Latencies are
+/// Point-in-time snapshot of one tenant lane's health. Latencies are
 /// request latencies (submit -> result available), which include queueing
 /// delay — the figure a client actually experiences.
 ///
@@ -52,8 +56,9 @@ struct ServiceStats {
   double mean_anchors_scanned = 0.0;///< anchors_scanned / screened
   std::size_t drift_flushes = 0;    ///< cache flushes forced by drift trend
   std::size_t batches = 0;          ///< micro-batches drained by workers
+  std::size_t batched_items = 0;    ///< requests across those micro-batches
   std::size_t largest_batch = 0;
-  double mean_batch_size = 0.0;
+  double mean_batch_size = 0.0;     ///< batched_items / batches
   double latency_mean_ms = 0.0;
   double latency_p50_ms = 0.0;
   double latency_p95_ms = 0.0;
@@ -68,6 +73,62 @@ struct ServiceStats {
   std::string str() const;
 };
 
+/// One counter of a stats struct: summed across tenants and, when
+/// `family` is set, exported per tenant under a `tenant` label plus the
+/// optional label_key=label_value.
+template <typename Stats>
+struct CounterRow {
+  std::size_t Stats::*member;
+  const char* family = nullptr;  ///< nullptr: summed, never exported
+  const char* help = nullptr;
+  const char* label_key = nullptr;
+  const char* label_value = nullptr;
+};
+
+/// THE per-tenant counter set. Every row is summed by aggregate_stats()
+/// and by the collector's batch merge; rows with a family are exported
+/// per tenant by ServeEngine::metrics(). largest_batch (a max) and the
+/// latency histogram (a merge) are the only ServiceStats state outside it.
+inline constexpr CounterRow<ServiceStats> kServiceCounters[] = {
+    {&ServiceStats::submitted, "cal_serve_admissions_total",
+     "Admission outcomes at the engine front door", "outcome", "accepted"},
+    {&ServiceStats::over_quota, "cal_serve_admissions_total",
+     "Admission outcomes at the engine front door", "outcome", "over_quota"},
+    {&ServiceStats::queue_full, "cal_serve_admissions_total",
+     "Admission outcomes at the engine front door", "outcome", "queue_full"},
+    {&ServiceStats::breaker_denied, "cal_serve_admissions_total",
+     "Admission outcomes at the engine front door", "outcome",
+     "breaker_open"},
+    {&ServiceStats::expired, "cal_serve_expired_total",
+     "Requests shed past their deadline"},
+    {&ServiceStats::faulted, "cal_serve_faulted_total",
+     "Requests failed by replica faults"},
+    {&ServiceStats::shed, "cal_serve_shed_total",
+     "Queued requests terminated unserved (tenant removed / shutdown)"},
+    {&ServiceStats::completed, "cal_serve_completed_total",
+     "Requests fulfilled, any verdict"},
+    {&ServiceStats::flagged, "cal_serve_verdicts_total",
+     "Screening verdicts on completed requests", "verdict", "flagged"},
+    {&ServiceStats::rejected, "cal_serve_verdicts_total",
+     "Screening verdicts on completed requests", "verdict", "rejected"},
+    {&ServiceStats::cache_hits, "cal_serve_cache_hits_total",
+     "Requests served from the fingerprint LRU"},
+    {&ServiceStats::cache_audits, "cal_serve_cache_audits_total",
+     "Cache hits re-inferred for verification"},
+    {&ServiceStats::cache_audit_mismatches,
+     "cal_serve_cache_audit_mismatches_total",
+     "Audited cache hits that disagreed with the model"},
+    {&ServiceStats::drift_flushes, "cal_serve_drift_flushes_total",
+     "Cache flushes forced by the drift trend"},
+    {&ServiceStats::batches, "cal_serve_batches_total",
+     "Micro-batches drained by pool workers"},
+    {&ServiceStats::screened, "cal_serve_screened_total",
+     "Requests that ran the anchor screen"},
+    {&ServiceStats::anchors_scanned},
+    {&ServiceStats::anchors_pruned},
+    {&ServiceStats::batched_items},
+};
+
 /// Fleet-wide roll-up of per-shard snapshots: counters are summed, the
 /// latency histograms are merged bucket-wise (exact — the aggregate
 /// percentiles are true quantiles of the combined distribution, up to the
@@ -75,19 +136,9 @@ struct ServiceStats {
 /// shard, and throughput is total completed over that wall clock.
 ServiceStats aggregate_stats(std::span<const ServiceStats> shards);
 
-/// Everything StatsCollector needs to know about one fulfilled request.
-struct ResultRecord {
-  double latency_ms = 0.0;
-  Verdict verdict = Verdict::Accept;
-  bool from_cache = false;
-  bool audited = false;
-  bool audit_mismatch = false;
-  bool screened = false;
-  std::size_t anchors_scanned = 0;
-  std::size_t anchors_pruned = 0;
-};
-
-/// Mutex-guarded accumulator shared by one shard lane's worker pool.
+/// Mutex-guarded accumulator shared by one tenant lane's worker pool:
+/// one ServiceStats block, fed by two entry points — add() for single
+/// events and record_batch() once per claimed micro-batch.
 ///
 /// Memory is bounded for arbitrarily long runs: latencies feed a
 /// log-bucketed obs::Histogram (fixed ~9 KB, lifetime-mergeable, bounded
@@ -95,38 +146,27 @@ struct ResultRecord {
 /// count and O(1) in memory regardless of traffic volume.
 class StatsCollector {
  public:
+  using Counter = std::size_t ServiceStats::*;
+
   StatsCollector();
 
+  /// Add `n` to one counter — every event outside a micro-batch. The
+  /// engine counts an admission in `submitted` before its push, takes it
+  /// back out (n = -1) when the push is refused, and moves a queued
+  /// request terminated unserved (tenant removed, shutdown) from
+  /// `submitted` to `shed`. Denials (over_quota, queue_full,
+  /// breaker_denied) never enter `submitted`; requests expired or
+  /// faulted at dequeue stay in it.
   CAL_HOT_PATH
-  void record_submitted() CAL_EXCLUDES(mu_);
-  /// Roll back a record_submitted() whose push was refused (shutdown).
+  void add(Counter counter, std::ptrdiff_t n = 1) CAL_EXCLUDES(mu_);
+
+  /// One claimed micro-batch, recorded before any of its promises is
+  /// fulfilled: `counts` carries its counter deltas (batch size, served,
+  /// expired and faulted rows, verdicts, cache and screen work, drift
+  /// flushes) and `latency_ms` one latency per served row.
   CAL_HOT_PATH
-  void record_submit_rejected() CAL_EXCLUDES(mu_);
-  /// Admission denials (engine front door): the request never entered a
-  /// queue, so neither `submitted` nor `completed` moves.
-  CAL_HOT_PATH
-  void record_over_quota() CAL_EXCLUDES(mu_);
-  CAL_HOT_PATH
-  void record_queue_full() CAL_EXCLUDES(mu_);
-  CAL_HOT_PATH
-  void record_breaker_denied() CAL_EXCLUDES(mu_);
-  /// Admitted requests resolved by fault containment instead of serving:
-  /// they stay in `submitted` (they consumed admission + queue space) but
-  /// never reach `completed` or the latency histogram.
-  CAL_HOT_PATH
-  void record_expired(std::size_t n = 1) CAL_EXCLUDES(mu_);
-  CAL_HOT_PATH
-  void record_faulted(std::size_t n = 1) CAL_EXCLUDES(mu_);
-  /// A queued request terminated unserved (tenant removed, shutdown):
-  /// rolls its admission back out of `submitted` and counts it in `shed`.
-  CAL_HOT_PATH
-  void record_shed() CAL_EXCLUDES(mu_);
-  CAL_HOT_PATH
-  void record_batch(std::size_t batch_size) CAL_EXCLUDES(mu_);
-  CAL_HOT_PATH
-  void record_result(const ResultRecord& r) CAL_EXCLUDES(mu_);
-  CAL_HOT_PATH
-  void record_drift_flush() CAL_EXCLUDES(mu_);
+  void record_batch(const ServiceStats& counts,
+                    std::span<const double> latency_ms) CAL_EXCLUDES(mu_);
 
   /// Restart the wall clock behind wall_seconds/throughput_rps. The
   /// multi-tenant engine calls this once every lane is up, so shards
@@ -134,6 +174,7 @@ class StatsCollector {
   /// (replica factories are arbitrarily slow) as serving time.
   void reset_clock() CAL_EXCLUDES(mu_);
 
+  /// A copy of the block plus the derived means, percentiles and rate.
   ServiceStats snapshot() const CAL_EXCLUDES(mu_);
 
   /// Cheap read of the current lifetime p99 — the flight-recorder breach
@@ -145,28 +186,9 @@ class StatsCollector {
  private:
   mutable Mutex mu_;
   std::chrono::steady_clock::time_point start_ CAL_GUARDED_BY(mu_);
-  /// Lifetime latency distribution (mergeable, bounded relative error).
-  obs::Histogram latency_ CAL_GUARDED_BY(mu_);
-  std::size_t submitted_ CAL_GUARDED_BY(mu_) = 0;
-  std::size_t completed_ CAL_GUARDED_BY(mu_) = 0;
-  std::size_t over_quota_ CAL_GUARDED_BY(mu_) = 0;
-  std::size_t queue_full_ CAL_GUARDED_BY(mu_) = 0;
-  std::size_t breaker_denied_ CAL_GUARDED_BY(mu_) = 0;
-  std::size_t expired_ CAL_GUARDED_BY(mu_) = 0;
-  std::size_t faulted_ CAL_GUARDED_BY(mu_) = 0;
-  std::size_t shed_ CAL_GUARDED_BY(mu_) = 0;
-  std::size_t cache_hits_ CAL_GUARDED_BY(mu_) = 0;
-  std::size_t cache_audits_ CAL_GUARDED_BY(mu_) = 0;
-  std::size_t cache_audit_mismatches_ CAL_GUARDED_BY(mu_) = 0;
-  std::size_t flagged_ CAL_GUARDED_BY(mu_) = 0;
-  std::size_t rejected_ CAL_GUARDED_BY(mu_) = 0;
-  std::size_t screened_ CAL_GUARDED_BY(mu_) = 0;
-  std::size_t anchors_scanned_ CAL_GUARDED_BY(mu_) = 0;
-  std::size_t anchors_pruned_ CAL_GUARDED_BY(mu_) = 0;
-  std::size_t drift_flushes_ CAL_GUARDED_BY(mu_) = 0;
-  std::size_t batches_ CAL_GUARDED_BY(mu_) = 0;
-  std::size_t largest_batch_ CAL_GUARDED_BY(mu_) = 0;
-  std::size_t batched_items_ CAL_GUARDED_BY(mu_) = 0;
+  /// Counters and the lifetime latency histogram; the derived fields stay
+  /// zero here and are filled on each snapshot().
+  ServiceStats block_ CAL_GUARDED_BY(mu_);
 };
 
 }  // namespace cal::serve

@@ -4,7 +4,7 @@
 // per-floorplan protocol. A multi-tenant serving deployment needs the
 // step above it: several venues surveyed independently, plus an
 // interleaved request stream that mixes devices and venues the way a
-// fleet of phones does — the workload the registry/router/shard stack
+// fleet of phones does — the workload the registry/snapshot/engine stack
 // (src/serve) is built to absorb. Everything here is deterministic in its
 // seed, so serving tests and benches replay identical cross-venue traffic.
 #pragma once

@@ -1,5 +1,5 @@
 // Serving-engine tests: queue semantics, cache behaviour, screening,
-// drift-triggered cache invalidation, the registry/router/shard stack,
+// drift-triggered cache invalidation, the registry/snapshot/shard stack,
 // and the headline guarantees — concurrent batched serving is
 // bit-identical to sequential predict() on the same trained model, per
 // tenant, and unknown tenants are rejected deterministically.
@@ -30,7 +30,6 @@
 #include "serve/lru_cache.hpp"
 #include "serve/queue.hpp"
 #include "serve/registry.hpp"
-#include "serve/router.hpp"
 #include "serve/snapshot.hpp"
 #include "serve/screening.hpp"
 #include "serve/service.hpp"
@@ -105,41 +104,24 @@ std::vector<float> row_of(const Tensor& x, std::size_t r) {
 
 TEST(BoundedQueue, FifoAndBatchCap) {
   BoundedQueue<int> q(8);
-  for (int i = 0; i < 5; ++i) EXPECT_TRUE(q.push(int{i}));
+  for (int i = 0; i < 5; ++i) EXPECT_TRUE(q.try_push(int{i}));
   EXPECT_EQ(q.size(), 5u);
-  const auto first = q.pop_batch(3);
+  const auto first = q.try_pop_batch(3);
   ASSERT_EQ(first.size(), 3u);
   EXPECT_EQ(first[0], 0);
   EXPECT_EQ(first[2], 2);
-  const auto rest = q.pop_batch(10);
+  const auto rest = q.try_pop_batch(10);
   ASSERT_EQ(rest.size(), 2u);
   EXPECT_EQ(rest[1], 4);
 }
 
 TEST(BoundedQueue, CloseDrainsThenStops) {
   BoundedQueue<int> q(4);
-  EXPECT_TRUE(q.push(1));
+  EXPECT_TRUE(q.try_push(1));
   q.close();
-  EXPECT_FALSE(q.push(2));
-  EXPECT_EQ(q.pop_batch(4).size(), 1u);   // drain survivors
-  EXPECT_TRUE(q.pop_batch(4).empty());    // closed-and-drained sentinel
-}
-
-TEST(BoundedQueue, FullQueueBlocksUntilDrained) {
-  BoundedQueue<int> q(2);
-  EXPECT_TRUE(q.push(1));
-  EXPECT_TRUE(q.push(2));
-  std::atomic<bool> third_pushed{false};
-  std::thread producer([&] {
-    EXPECT_TRUE(q.push(3));  // must block until a pop frees a slot
-    third_pushed = true;
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  EXPECT_FALSE(third_pushed.load());
-  EXPECT_EQ(q.pop_batch(1).size(), 1u);
-  producer.join();
-  EXPECT_TRUE(third_pushed.load());
-  EXPECT_EQ(q.size(), 2u);
+  EXPECT_FALSE(q.try_push(2));
+  EXPECT_EQ(q.try_pop_batch(4).size(), 1u);  // drain survivors
+  EXPECT_TRUE(q.try_pop_batch(4).empty());   // closed and drained
 }
 
 TEST(BoundedQueue, RejectsZeroCapacity) {
@@ -168,8 +150,7 @@ TEST(BoundedQueue, TryOpsUnderProducerConsumerContention) {
   // Several producers spin on try_push against a deliberately tiny
   // capacity while consumers spin on try_pop_batch: every item must come
   // out exactly once, in spite of constant full/empty refusals. This is
-  // the test the ThreadSanitizer CI job leans on for the queue's
-  // non-blocking surface (the blocking paths are exercised above).
+  // the test the ThreadSanitizer CI job leans on for the queue.
   BoundedQueue<int> q(16);
   constexpr int kProducers = 4;
   constexpr int kConsumers = 2;
@@ -350,7 +331,6 @@ class SingleTenantHarness {
     reg.register_tenant(key_, std::move(spec));
     EngineConfig engine_cfg;
     engine_cfg.pool_size = cfg.num_workers;
-    engine_cfg.seed = cfg.seed;
     engine_ = std::make_unique<ServeEngine>(reg.publish(), engine_cfg);
   }
 
@@ -759,12 +739,6 @@ TEST(DriftMonitor, TrendSnapshotShowsDriftBuildingBeforeTheFlush) {
   EXPECT_NEAR(building.partial_mean, 0.02, 1e-12);
   EXPECT_EQ(building.windows_completed, 1u);
 
-  m.reset();  // hot reload forgets the retired deployment's distribution
-  const DriftTrend after = m.snapshot();
-  EXPECT_LT(after.baseline_mean, 0.0);
-  EXPECT_EQ(after.partial_n, 0u);
-  EXPECT_EQ(after.windows_completed, 0u);
-
   const DriftTrend disabled = DriftMonitor{}.snapshot();
   EXPECT_FALSE(disabled.enabled);
 }
@@ -811,7 +785,7 @@ TEST(Service, DriftTrendFlushesShardCache) {
 }
 
 // ---------------------------------------------------------------------------
-// ModelRegistry / ShardRouter
+// ModelRegistry / DeploymentSnapshot routing
 // ---------------------------------------------------------------------------
 
 ReplicaFactory dummy_factory() {
@@ -883,32 +857,35 @@ TEST(Router, DeterministicShardsAndRouting) {
   reg.register_tenant({"A", 0, ""}, dummy_spec());
   reg.set_profile_fallbacks({"OP3", ""});
 
-  const ShardRouter router(reg);
-  ASSERT_EQ(router.num_shards(), 3u);
+  const auto snap = reg.publish();
+  ASSERT_EQ(snap->num_tenants(), 3u);
   // str()-sorted shard order: "A/0:*" < "A/0:OP3" < "B/0:OP3".
-  EXPECT_EQ(router.shard_key(0), (TenantKey{"A", 0, ""}));
-  EXPECT_EQ(router.shard_key(1), (TenantKey{"A", 0, "OP3"}));
-  EXPECT_EQ(router.shard_key(2), (TenantKey{"B", 0, "OP3"}));
-  EXPECT_THROW(router.shard_key(3), PreconditionError);
+  EXPECT_EQ(snap->tenant(0).key, (TenantKey{"A", 0, ""}));
+  EXPECT_EQ(snap->tenant(1).key, (TenantKey{"A", 0, "OP3"}));
+  EXPECT_EQ(snap->tenant(2).key, (TenantKey{"B", 0, "OP3"}));
+  EXPECT_EQ(reg.keys(), (std::vector<TenantKey>{snap->tenant(0).key,
+                                                snap->tenant(1).key,
+                                                snap->tenant(2).key}));
+  EXPECT_THROW(snap->tenant(3), PreconditionError);
 
-  const auto exact = router.route({"B", 0, "OP3"});
+  const auto exact = snap->route({"B", 0, "OP3"});
   EXPECT_EQ(exact.status, RouteDecision::Status::Exact);
   EXPECT_EQ(exact.shard, 2u);
 
-  const auto fb = router.route({"A", 0, "S7"});
+  const auto fb = snap->route({"A", 0, "S7"});
   EXPECT_EQ(fb.status, RouteDecision::Status::Fallback);
   EXPECT_EQ(fb.shard, 1u);  // chain prefers OP3 over venue-generic
 
   // No venue-generic entry for B, but the chain still finds B's OP3
   // model for a profile-less request.
-  const auto generic = router.route({"B", 0, ""});
+  const auto generic = snap->route({"B", 0, ""});
   EXPECT_EQ(generic.status, RouteDecision::Status::Fallback);
   EXPECT_EQ(generic.shard, 2u);
 
-  EXPECT_EQ(router.route({"Z", 0, "OP3"}).status,
+  EXPECT_EQ(snap->route({"Z", 0, "OP3"}).status,
             RouteDecision::Status::Reject);
 
-  EXPECT_THROW(ShardRouter{ModelRegistry{}}, PreconditionError);
+  EXPECT_THROW(ModelRegistry{}.publish(), PreconditionError);
 }
 
 // ---------------------------------------------------------------------------
@@ -1113,6 +1090,70 @@ TenantSpec const_spec(std::size_t label, std::size_t slots = 1) {
   return spec;
 }
 
+/// Counter reconciliation, read after shutdown() (nothing queued or in
+/// flight): every admission a tenant still counts in `submitted` ended as
+/// exactly one of completed / expired / faulted (shed requests already
+/// left `submitted`), and the aggregate is the sum over tenants. The
+/// counters are spelled out here, independently of the engine's own
+/// counter table.
+void expect_reconciled(const ServeEngine& engine) {
+  const MultiTenantStats s = engine.stats();
+  ServiceStats sum;
+  std::uint64_t latency_count = 0;
+  double batched_items = 0.0;
+  for (const TenantStats& t : s.per_tenant) {
+    const ServiceStats& c = t.stats;
+    EXPECT_EQ(c.submitted, c.completed + c.expired + c.faulted)
+        << t.tenant.str() << ": " << c.completed << " completed, "
+        << c.expired << " expired, " << c.faulted << " faulted";
+    EXPECT_EQ(c.latency.count(), c.completed) << t.tenant.str();
+    sum.submitted += c.submitted;
+    sum.completed += c.completed;
+    sum.over_quota += c.over_quota;
+    sum.queue_full += c.queue_full;
+    sum.breaker_denied += c.breaker_denied;
+    sum.expired += c.expired;
+    sum.faulted += c.faulted;
+    sum.shed += c.shed;
+    sum.cache_hits += c.cache_hits;
+    sum.cache_audits += c.cache_audits;
+    sum.cache_audit_mismatches += c.cache_audit_mismatches;
+    sum.flagged += c.flagged;
+    sum.rejected += c.rejected;
+    sum.screened += c.screened;
+    sum.anchors_scanned += c.anchors_scanned;
+    sum.anchors_pruned += c.anchors_pruned;
+    sum.drift_flushes += c.drift_flushes;
+    sum.batches += c.batches;
+    sum.largest_batch = std::max(sum.largest_batch, c.largest_batch);
+    latency_count += c.latency.count();
+    batched_items += c.mean_batch_size * static_cast<double>(c.batches);
+  }
+  const ServiceStats& a = s.aggregate;
+  EXPECT_EQ(a.submitted, sum.submitted);
+  EXPECT_EQ(a.completed, sum.completed);
+  EXPECT_EQ(a.over_quota, sum.over_quota);
+  EXPECT_EQ(a.queue_full, sum.queue_full);
+  EXPECT_EQ(a.breaker_denied, sum.breaker_denied);
+  EXPECT_EQ(a.expired, sum.expired);
+  EXPECT_EQ(a.faulted, sum.faulted);
+  EXPECT_EQ(a.shed, sum.shed);
+  EXPECT_EQ(a.cache_hits, sum.cache_hits);
+  EXPECT_EQ(a.cache_audits, sum.cache_audits);
+  EXPECT_EQ(a.cache_audit_mismatches, sum.cache_audit_mismatches);
+  EXPECT_EQ(a.flagged, sum.flagged);
+  EXPECT_EQ(a.rejected, sum.rejected);
+  EXPECT_EQ(a.screened, sum.screened);
+  EXPECT_EQ(a.anchors_scanned, sum.anchors_scanned);
+  EXPECT_EQ(a.anchors_pruned, sum.anchors_pruned);
+  EXPECT_EQ(a.drift_flushes, sum.drift_flushes);
+  EXPECT_EQ(a.batches, sum.batches);
+  EXPECT_EQ(a.largest_batch, sum.largest_batch);
+  EXPECT_EQ(a.latency.count(), latency_count);
+  EXPECT_NEAR(a.mean_batch_size * static_cast<double>(a.batches),
+              batched_items, 1e-9 * (1.0 + batched_items));
+}
+
 TEST(Engine, RoutedBitIdenticalToSequentialAcrossHotReload) {
   const auto& fleet = small_fleet();
   // Sequential ground truth: each venue's own model on its own traffic.
@@ -1164,6 +1205,7 @@ TEST(Engine, RoutedBitIdenticalToSequentialAcrossHotReload) {
         << s.req.row;
   }
   engine.shutdown();
+  expect_reconciled(engine);
 
   const auto stats = engine.stats();
   EXPECT_EQ(stats.route_exact, stream.size());
@@ -1287,6 +1329,7 @@ TEST(Engine, OverQuotaIsTypedAndCounted) {
   EXPECT_EQ(a1.result.get().status, ServeStatus::Served);
   EXPECT_EQ(a2.result.get().status, ServeStatus::Served);
   engine.shutdown();
+  expect_reconciled(engine);
 
   const auto stats = engine.stats();
   EXPECT_EQ(stats.per_tenant[0].stats.over_quota, 1u);
@@ -1353,6 +1396,7 @@ TEST(Engine, QueueFullIsTypedAndQuotaStallsAreNotBilledAsLatency) {
   EXPECT_LE(res3.latency_ms, 60.0);
   EXPECT_LT(res3.latency_ms, res1.latency_ms);
   engine.shutdown();
+  expect_reconciled(engine);
   EXPECT_GE(engine.stats().per_tenant[0].stats.queue_full, 1u);
 }
 
@@ -1396,6 +1440,7 @@ TEST(Engine, PublishWhileQueueNonEmptyServesQueuedOnNewSnapshot) {
   EXPECT_EQ(r2.result.get().rp, 42u);
   EXPECT_EQ(r3.result.get().rp, 42u);
   engine.shutdown();
+  expect_reconciled(engine);
   const auto stats = engine.stats();
   EXPECT_EQ(stats.deploys, 1u);
   EXPECT_EQ(stats.reload_flushes, 1u);
@@ -1445,6 +1490,7 @@ TEST(Engine, ReloadFlushesOnlyTheReloadedTenant) {
   for (std::size_t v = 0; v < 2; ++v) {
     TenantSpec spec = venue_spec(fleet[v], 1);
     spec.service.cache_capacity = 32;
+    spec.service.drift.window = 2;
     reg.register_tenant({fleet[v].building_spec.name, 0, "OP3"},
                         std::move(spec));
   }
@@ -1460,12 +1506,29 @@ TEST(Engine, ReloadFlushesOnlyTheReloadedTenant) {
   }
   EXPECT_GT(engine.tenant_cache(ka).size(), 0u);
   EXPECT_GT(engine.tenant_cache(kb).size(), 0u);
+  // Two requests each complete one drift window: both baselines pinned.
+  ASSERT_EQ(engine.tenant_drift(ka).windows_completed, 1u);
+  const DriftTrend kb_before = engine.tenant_drift(kb);
+  ASSERT_EQ(kb_before.windows_completed, 1u);
+  ASSERT_GE(kb_before.baseline_mean, 0.0);
 
   // Retrain-and-reload venue-a only.
   TenantSpec reloaded = venue_spec(fleet[0], 1);
   reloaded.service.cache_capacity = 32;
+  reloaded.service.drift.window = 2;
   reg.reload_tenant(ka, std::move(reloaded));
   engine.deploy(reg.publish());
+
+  // The reloaded tenant's drift trend starts over: the new radio map
+  // must pin its own baseline, not be judged against the retired one.
+  const DriftTrend ka_after = engine.tenant_drift(ka);
+  EXPECT_EQ(ka_after.windows_completed, 0u);
+  EXPECT_LT(ka_after.baseline_mean, 0.0);
+  EXPECT_EQ(ka_after.partial_n, 0u);
+  // The other tenant keeps its pinned baseline.
+  const DriftTrend kb_after = engine.tenant_drift(kb);
+  EXPECT_EQ(kb_after.windows_completed, kb_before.windows_completed);
+  EXPECT_EQ(kb_after.baseline_mean, kb_before.baseline_mean);
 
   EXPECT_FALSE(
       submit_blocking(engine, ka, row_of(xa, 0)).result.get().from_cache)
@@ -1543,19 +1606,20 @@ TEST(Engine, RemovedTenantFailsQueuedAndRejectsNew) {
   ASSERT_EQ(stats.per_tenant.size(), 1u);
   EXPECT_EQ(stats.per_tenant[0].tenant, (TenantKey{"kept", 0, ""}));
   engine.shutdown();
+  expect_reconciled(engine);
 }
 
 // ---------------------------------------------------------------------------
-// Engine vs. registry-level router agreement
+// Engine vs. registry-level routing agreement
 // ---------------------------------------------------------------------------
 
 TEST(Engine, RouteStatusesAgreeWithRegistryRouter) {
   const auto& fleet = small_fleet();
   ModelRegistry reg = small_fleet_registry(1);
-  const ShardRouter router(reg);
+  const auto snap = reg.publish();
   EngineConfig cfg;
   cfg.pool_size = 3;
-  ServeEngine engine(reg.publish(), cfg);
+  ServeEngine engine(snap, cfg);
   EXPECT_EQ(engine.num_tenants(), 3u);
   const Tensor x = fleet[0].device_tests[0].normalized();
 
@@ -1571,10 +1635,28 @@ TEST(Engine, RouteStatusesAgreeWithRegistryRouter) {
   EXPECT_EQ(rej.decision.status, RouteDecision::Status::Reject);
   EXPECT_FALSE(rej.result.get().localized);
 
-  // The offline ShardRouter snapshot agrees with the live engine's
-  // routing, decision for decision.
-  EXPECT_EQ(router.route({"venue-a", 0, "S7"}).status,
-            RouteDecision::Status::Fallback);
+  // The registry's catalogue resolution and the published snapshot's
+  // routing agree with the live engine, decision for decision: all three
+  // run resolve_tenant over the same key set.
+  const std::pair<const EngineSubmission*, TenantKey> sent[] = {
+      {&exact, {"venue-a", 0, "OP3"}},
+      {&fb, {"venue-a", 0, "S7"}},
+      {&rej, {"venue-z", 0, "OP3"}}};
+  for (const auto& [sub, key] : sent) {
+    const RouteDecision offline = snap->route(key);
+    EXPECT_EQ(offline.status, sub->decision.status) << key.str();
+    const auto res = reg.resolve(key);
+    if (offline.status == RouteDecision::Status::Reject) {
+      EXPECT_EQ(res.kind, ModelRegistry::Resolution::Kind::Miss);
+      continue;
+    }
+    EXPECT_EQ(offline.shard, sub->decision.shard) << key.str();
+    EXPECT_EQ(offline.resolved, sub->decision.resolved) << key.str();
+    EXPECT_EQ(snap->tenant(offline.shard).key, offline.resolved);
+    EXPECT_EQ(res.resolved, offline.resolved) << key.str();
+    EXPECT_EQ(res.kind == ModelRegistry::Resolution::Kind::Exact,
+              offline.status == RouteDecision::Status::Exact);
+  }
 
   engine.shutdown();
   engine.shutdown();  // idempotent
@@ -1663,6 +1745,296 @@ TEST(Engine, MetricsScrapeRoundTrip) {
   EXPECT_NE(json.find("\"p99\":"), npos);
   EXPECT_NE(json.find("\"name\":\"cal_serve_deploy_epoch\""), npos);
   engine.shutdown();
+}
+
+TEST(Engine, MetricsFamiliesGolden) {
+  // Two tenants with every optional per-tenant family switched on: cache,
+  // drift, quota and breaker. The golden pins each family's type and
+  // help text, and the label set and sample count of each series.
+  const auto& fleet = small_fleet();
+  ModelRegistry reg;
+  for (std::size_t v = 0; v < 2; ++v) {
+    TenantSpec spec = venue_spec(fleet[v], 1);
+    spec.service.cache_capacity = 16;
+    spec.service.drift.window = 2;
+    spec.service.quota.rate_per_s = 0.001;
+    spec.service.quota.burst = 4.0;
+    spec.service.breaker.fault_threshold = 3;
+    reg.register_tenant({fleet[v].building_spec.name, 0, "OP3"},
+                        std::move(spec));
+  }
+  reg.set_profile_fallbacks({"OP3"});
+  ServeEngine engine(reg.publish(), EngineConfig{});
+  for (std::size_t v = 0; v < 2; ++v) {
+    const TenantKey key{fleet[v].building_spec.name, 0, "OP3"};
+    const Tensor x = fleet[v].device_tests[0].normalized();
+    for (std::size_t i = 0; i < 5; ++i) {
+      auto sub = engine.submit(key, row_of(x, i % 2));
+      if (sub.admission == Admission::Accepted) sub.result.get();
+    }
+  }
+  engine.shutdown();
+  expect_reconciled(engine);
+
+  const obs::MetricsRegistry m = engine.metrics();
+  std::map<std::string, std::string> families;  // name -> "type | help"
+  std::map<std::string, int> series;  // "name key[=value]..." -> samples
+  for (const obs::MetricFamily& f : m.families()) {
+    families[f.name] = std::string(obs::to_string(f.type)) + " | " + f.help;
+    for (const obs::MetricSample& smp : f.samples) {
+      std::string id = f.name;
+      for (const obs::MetricLabel& l : smp.labels)
+        id += " " + (l.key == "tenant" ? l.key : l.key + "=" + l.value);
+      ++series[id];
+    }
+  }
+  const std::map<std::string, std::string> want_families = {
+      {"cal_serve_admissions_total",
+       "counter | Admission outcomes at the engine front door"},
+      {"cal_serve_expired_total",
+       "counter | Requests shed past their deadline"},
+      {"cal_serve_faulted_total",
+       "counter | Requests failed by replica faults"},
+      {"cal_serve_shed_total",
+       "counter | Queued requests terminated unserved (tenant removed / "
+       "shutdown)"},
+      {"cal_serve_breaker_state",
+       "gauge | Circuit-breaker state: 0 closed, 1 open, 2 half-open"},
+      {"cal_serve_breaker_opens_total",
+       "counter | Circuit-breaker open + reopen transitions"},
+      {"cal_serve_breaker_closes_total",
+       "counter | Circuit-breaker half-open -> closed recoveries"},
+      {"cal_serve_completed_total",
+       "counter | Requests fulfilled, any verdict"},
+      {"cal_serve_verdicts_total",
+       "counter | Screening verdicts on completed requests"},
+      {"cal_serve_cache_hits_total",
+       "counter | Requests served from the fingerprint LRU"},
+      {"cal_serve_cache_audits_total",
+       "counter | Cache hits re-inferred for verification"},
+      {"cal_serve_cache_audit_mismatches_total",
+       "counter | Audited cache hits that disagreed with the model"},
+      {"cal_serve_drift_flushes_total",
+       "counter | Cache flushes forced by the drift trend"},
+      {"cal_serve_batches_total",
+       "counter | Micro-batches drained by pool workers"},
+      {"cal_serve_screened_total",
+       "counter | Requests that ran the anchor screen"},
+      {"cal_serve_latency_ms",
+       "histogram | Request latency (admission to fulfilment), ms"},
+      {"cal_serve_queue_depth",
+       "gauge | Requests waiting in the tenant sub-queue"},
+      {"cal_serve_queue_capacity", "gauge | Bounded sub-queue capacity"},
+      {"cal_serve_lru_hit_ratio", "gauge | LRU hits over lookups, lifetime"},
+      {"cal_serve_lru_size", "gauge | Entries in the fingerprint LRU"},
+      {"cal_serve_replica_slots",
+       "gauge | Replica slots (max concurrent batches)"},
+      {"cal_serve_replica_slots_busy",
+       "gauge | Replica slots currently checked out"},
+      {"cal_serve_replica_slots_quarantined",
+       "gauge | Replica slots retired from rotation by faults"},
+      {"cal_serve_weight_bytes",
+       "gauge | Resident model weight bytes across replica slots"},
+      {"cal_serve_precision_int8",
+       "gauge | 1 when this tenant serves int8-quantized replicas"},
+      {"cal_serve_drift_baseline_mean",
+       "gauge | Pinned drift baseline window mean (-1 while pinning)"},
+      {"cal_serve_drift_last_window_mean",
+       "gauge | Most recent completed drift window mean (-1 before one)"},
+      {"cal_serve_deploy_epoch",
+       "gauge | Epoch of the live deployment snapshot"},
+      {"cal_serve_tenants", "gauge | Deployed tenants"},
+      {"cal_serve_route_total", "counter | Routing outcomes"},
+      {"cal_serve_deploys_total",
+       "counter | deploy() calls since engine construction"},
+      {"cal_serve_reload_flushes_total",
+       "counter | Tenant reloads that flushed cache and drift state"},
+      {"cal_serve_pool_size", "gauge | Shared worker threads"},
+      {"cal_gemm_parallel_total",
+       "counter | GEMMs dispatched through the kernel pool"},
+      {"cal_gemm_serial_fallbacks_total",
+       "counter | Pool-eligible GEMMs that ran serial (pool busy)"},
+      {"cal_gemm_pool_tasks_total",
+       "counter | Row-block tasks executed by the kernel pool"},
+      {"cal_gemm_pool_task_ms",
+       "histogram | Kernel-pool row-block task wall time, ms"},
+      {"cal_trace_events_total",
+       "counter | Trace events recorded, all threads"},
+      {"cal_trace_dropped_total",
+       "counter | Trace events overwritten before any snapshot read them"},
+      {"cal_trace_threads", "gauge | Threads with a trace ring"},
+      {"cal_trace_enabled",
+       "gauge | 1 when tracing is compiled in and runtime-enabled"},
+      {"cal_flight_trips_total", "counter | Flight-recorder anomaly trips"},
+      {"cal_flight_dumps_total",
+       "counter | Flight-recorder dumps taken (trips minus rate-limited)"},
+  };
+  EXPECT_EQ(want_families.size(), 43u);
+  EXPECT_EQ(families, want_families);
+  const std::map<std::string, int> want_series = {
+      {"cal_serve_admissions_total tenant outcome=accepted", 2},
+      {"cal_serve_admissions_total tenant outcome=over_quota", 2},
+      {"cal_serve_admissions_total tenant outcome=queue_full", 2},
+      {"cal_serve_admissions_total tenant outcome=breaker_open", 2},
+      {"cal_serve_expired_total tenant", 2},
+      {"cal_serve_faulted_total tenant", 2},
+      {"cal_serve_shed_total tenant", 2},
+      {"cal_serve_breaker_state tenant", 2},
+      {"cal_serve_breaker_opens_total tenant", 2},
+      {"cal_serve_breaker_closes_total tenant", 2},
+      {"cal_serve_completed_total tenant", 2},
+      {"cal_serve_verdicts_total tenant verdict=flagged", 2},
+      {"cal_serve_verdicts_total tenant verdict=rejected", 2},
+      {"cal_serve_cache_hits_total tenant", 2},
+      {"cal_serve_cache_audits_total tenant", 2},
+      {"cal_serve_cache_audit_mismatches_total tenant", 2},
+      {"cal_serve_drift_flushes_total tenant", 2},
+      {"cal_serve_batches_total tenant", 2},
+      {"cal_serve_screened_total tenant", 2},
+      {"cal_serve_latency_ms tenant", 2},
+      {"cal_serve_queue_depth tenant", 2},
+      {"cal_serve_queue_capacity tenant", 2},
+      {"cal_serve_lru_hit_ratio tenant", 2},
+      {"cal_serve_lru_size tenant", 2},
+      {"cal_serve_replica_slots tenant", 2},
+      {"cal_serve_replica_slots_busy tenant", 2},
+      {"cal_serve_replica_slots_quarantined tenant", 2},
+      {"cal_serve_weight_bytes tenant", 2},
+      {"cal_serve_precision_int8 tenant", 2},
+      {"cal_serve_drift_baseline_mean tenant", 2},
+      {"cal_serve_drift_last_window_mean tenant", 2},
+      {"cal_serve_deploy_epoch", 1},
+      {"cal_serve_tenants", 1},
+      {"cal_serve_route_total status=exact", 1},
+      {"cal_serve_route_total status=fallback", 1},
+      {"cal_serve_route_total status=rejected", 1},
+      {"cal_serve_deploys_total", 1},
+      {"cal_serve_reload_flushes_total", 1},
+      {"cal_serve_pool_size", 1},
+      {"cal_gemm_parallel_total", 1},
+      {"cal_gemm_serial_fallbacks_total", 1},
+      {"cal_gemm_pool_tasks_total", 1},
+      {"cal_gemm_pool_task_ms", 1},
+      {"cal_trace_events_total", 1},
+      {"cal_trace_dropped_total", 1},
+      {"cal_trace_threads", 1},
+      {"cal_trace_enabled", 1},
+      {"cal_flight_trips_total", 1},
+      {"cal_flight_dumps_total", 1},
+  };
+  EXPECT_EQ(series, want_series);
+
+  // Every per-tenant counter sample carries its stats() figure.
+  const struct {
+    const char* family;
+    obs::MetricLabel label;
+    std::size_t ServiceStats::*field;
+  } counters[] = {
+      {"cal_serve_admissions_total", {"outcome", "accepted"},
+       &ServiceStats::submitted},
+      {"cal_serve_admissions_total", {"outcome", "over_quota"},
+       &ServiceStats::over_quota},
+      {"cal_serve_admissions_total", {"outcome", "queue_full"},
+       &ServiceStats::queue_full},
+      {"cal_serve_admissions_total", {"outcome", "breaker_open"},
+       &ServiceStats::breaker_denied},
+      {"cal_serve_expired_total", {}, &ServiceStats::expired},
+      {"cal_serve_faulted_total", {}, &ServiceStats::faulted},
+      {"cal_serve_shed_total", {}, &ServiceStats::shed},
+      {"cal_serve_completed_total", {}, &ServiceStats::completed},
+      {"cal_serve_verdicts_total", {"verdict", "flagged"},
+       &ServiceStats::flagged},
+      {"cal_serve_verdicts_total", {"verdict", "rejected"},
+       &ServiceStats::rejected},
+      {"cal_serve_cache_hits_total", {}, &ServiceStats::cache_hits},
+      {"cal_serve_cache_audits_total", {}, &ServiceStats::cache_audits},
+      {"cal_serve_cache_audit_mismatches_total", {},
+       &ServiceStats::cache_audit_mismatches},
+      {"cal_serve_drift_flushes_total", {}, &ServiceStats::drift_flushes},
+      {"cal_serve_batches_total", {}, &ServiceStats::batches},
+      {"cal_serve_screened_total", {}, &ServiceStats::screened},
+  };
+  const MultiTenantStats stats = engine.stats();
+  for (const TenantStats& t : stats.per_tenant) {
+    EXPECT_EQ(t.stats.submitted, 4u) << "burst 4 of 5 sends";
+    EXPECT_EQ(t.stats.over_quota, 1u);
+    EXPECT_GE(t.stats.cache_hits, 1u);
+    for (const auto& c : counters) {
+      std::vector<obs::MetricLabel> labels{{"tenant", t.tenant.str()}};
+      if (!c.label.key.empty()) labels.push_back(c.label);
+      const obs::MetricSample* sample = m.find(c.family, labels);
+      ASSERT_NE(sample, nullptr) << c.family;
+      EXPECT_EQ(sample->value, static_cast<double>(t.stats.*c.field))
+          << c.family << " " << c.label.value << " " << t.tenant.str();
+    }
+  }
+}
+
+TEST(Engine, StatsCarriesTheLiveGaugesMetricsExports) {
+  // metrics() encodes stats(): the queue, LRU and replica-slot gauges are
+  // TenantStats fields, read mid-flight and after the drain.
+  std::promise<void> open_gate;
+  std::promise<void> entered;
+  GateLocalizer gate(open_gate.get_future().share(), 7, &entered);
+  ModelRegistry reg;
+  TenantSpec spec;
+  spec.shared_model = &gate;
+  spec.num_aps = kTinyAps;
+  spec.service.num_workers = 1;
+  spec.service.max_batch = 1;
+  spec.service.queue_capacity = 8;
+  spec.service.cache_capacity = 4;
+  const TenantKey key{"venue-gg", 0, ""};
+  reg.register_tenant(key, std::move(spec));
+  EngineConfig cfg;
+  cfg.pool_size = 1;
+  ServeEngine engine(reg.publish(), cfg);
+  const auto gauge = [](const obs::MetricsRegistry& m, const char* name) {
+    const obs::MetricSample* sample =
+        m.find(name, {{"tenant", "venue-gg/0:*"}});
+    return sample != nullptr ? sample->value : -1.0;
+  };
+
+  auto r1 = engine.submit(key, tiny_fp());
+  ASSERT_EQ(r1.admission, Admission::Accepted);
+  entered.get_future().wait();  // R1 missed the LRU and holds the slot
+  auto r2 = engine.submit(key, tiny_fp());  // queued behind it
+  ASSERT_EQ(r2.admission, Admission::Accepted);
+  const TenantStats live = engine.stats().per_tenant.at(0);
+  EXPECT_EQ(live.queue_depth, 1u);
+  EXPECT_EQ(live.queue_capacity, 8u);
+  EXPECT_EQ(live.slots, 1u);
+  EXPECT_EQ(live.busy_slots, 1u);
+  EXPECT_EQ(live.lru_hits, 0u);
+  EXPECT_EQ(live.lru_misses, 1u);
+  EXPECT_EQ(live.lru_size, 0u);
+  EXPECT_EQ(live.precision, Precision::Fp32);
+  const obs::MetricsRegistry mid = engine.metrics();
+  EXPECT_EQ(gauge(mid, "cal_serve_queue_depth"), 1.0);
+  EXPECT_EQ(gauge(mid, "cal_serve_queue_capacity"), 8.0);
+  EXPECT_EQ(gauge(mid, "cal_serve_replica_slots"), 1.0);
+  EXPECT_EQ(gauge(mid, "cal_serve_replica_slots_busy"), 1.0);
+  EXPECT_EQ(gauge(mid, "cal_serve_lru_hit_ratio"), 0.0);
+
+  open_gate.set_value();
+  EXPECT_FALSE(r1.result.get().from_cache);
+  EXPECT_TRUE(r2.result.get().from_cache);
+  engine.shutdown();
+  expect_reconciled(engine);
+  const TenantStats done = engine.stats().per_tenant.at(0);
+  EXPECT_EQ(done.queue_depth, 0u);
+  EXPECT_EQ(done.busy_slots, 0u);
+  EXPECT_EQ(done.lru_hits, 1u);
+  EXPECT_EQ(done.lru_misses, 1u);
+  EXPECT_EQ(done.lru_size, 1u);
+  EXPECT_EQ(done.weight_bytes, 0u);  // GateLocalizer reports no footprint
+  const obs::MetricsRegistry end = engine.metrics();
+  EXPECT_EQ(gauge(end, "cal_serve_queue_depth"), 0.0);
+  EXPECT_EQ(gauge(end, "cal_serve_replica_slots_busy"), 0.0);
+  EXPECT_EQ(gauge(end, "cal_serve_lru_size"), 1.0);
+  EXPECT_EQ(gauge(end, "cal_serve_lru_hit_ratio"), 0.5);
+  EXPECT_EQ(gauge(end, "cal_serve_weight_bytes"), 0.0);
+  EXPECT_EQ(gauge(end, "cal_serve_precision_int8"), 0.0);
 }
 
 TEST(Engine, MixedPrecisionTenantsCoexist) {
@@ -2016,6 +2388,7 @@ TEST(Engine, DeadlineExpiredRequestsShedAtDequeue) {
   EXPECT_EQ(served.status, ServeStatus::Served);
   EXPECT_EQ(served.rp, 7u);
   engine.shutdown();
+  expect_reconciled(engine);
 
   const auto stats = engine.stats();
   EXPECT_EQ(stats.per_tenant[0].stats.submitted, 3u);
@@ -2083,6 +2456,7 @@ TEST(Engine, ReplicaFaultQuarantinesSlotsAndHealsOnDeploy) {
   EXPECT_EQ(healed.result.get().rp, 5u);
   EXPECT_EQ(engine.stats().per_tenant[0].quarantined_slots, 0u);
   engine.shutdown();
+  expect_reconciled(engine);
 
   const auto stats = engine.stats();
   EXPECT_GE(stats.per_tenant[0].stats.faulted, 2u);
@@ -2149,6 +2523,7 @@ TEST(Engine, MixedBatchIsolatesPoisonRowBitIdentical) {
   EXPECT_EQ(res2.status, ServeStatus::Served);
   EXPECT_EQ(res2.rp, seq.predict(one_row(h2))[0]);
   engine.shutdown();
+  expect_reconciled(engine);
 
   const auto stats = engine.stats();
   EXPECT_EQ(stats.per_tenant[0].stats.completed, 3u);
@@ -2210,6 +2585,7 @@ TEST(Engine, BreakerOpensFastFailsAndRecoversViaProbe) {
     return s.per_tenant[0].breaker.closes == 1;
   })) << "a served probe must close the breaker";
   engine.shutdown();
+  expect_reconciled(engine);
 
   const auto stats = engine.stats();
   EXPECT_EQ(stats.per_tenant[0].breaker.state,
@@ -2342,6 +2718,7 @@ TEST(Engine, ShutdownFailsQueuedRequestsTyped) {
       << "the in-flight request is still parked on the gate";
   open_gate.set_value();
   stopper.join();
+  expect_reconciled(engine);
   EXPECT_EQ(r1.result.get().status, ServeStatus::Served);
 
   const auto stats = engine.stats();
@@ -2497,6 +2874,7 @@ TEST(Engine, FaultPointQueuePushContainmentKeepsEngineHealthy) {
   // refunded and the worker wake count rolled back).
   EXPECT_EQ(engine.submit(key, tiny_fp()).result.get().rp, 8u);
   engine.shutdown();
+  expect_reconciled(engine);
   const auto stats = engine.stats();
   EXPECT_EQ(stats.per_tenant[0].stats.submitted, 1u);
   EXPECT_EQ(stats.per_tenant[0].stats.completed, 1u);
@@ -2525,6 +2903,7 @@ TEST(Engine, FaultPointDeployContainmentKeepsOldSnapshot) {
   engine.deploy(next);
   EXPECT_EQ(engine.submit(key, tiny_fp()).result.get().rp, 2u);
   engine.shutdown();
+  expect_reconciled(engine);
 }
 
 }  // namespace
