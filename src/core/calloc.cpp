@@ -2,11 +2,11 @@
 
 #include <fstream>
 #include <numeric>
+#include <utility>
 
 #include "autograd/ops.hpp"
 #include "common/ensure.hpp"
 #include "core/calloc_quant.hpp"
-#include "nn/trainer.hpp"
 
 namespace cal::core {
 
@@ -43,10 +43,17 @@ Calloc::Calloc(CallocConfig cfg) : cfg_(cfg) {
              "train epsilon out of [0,1]");
 }
 
+void Calloc::install(std::unique_ptr<CallocModel> model) {
+  const AnchorKeys live = model->anchor_keys();
+  keys_ = {autograd::constant(live.center->value()),
+           autograd::constant(live.keys->value())};
+  model_ = std::move(model);
+  grads_ = std::make_unique<attacks::ModuleGradientSource>(*model_);
+}
+
 void Calloc::fit(const data::FingerprintDataset& train) {
   CAL_ENSURE(train.num_samples() >= 4, "CALLOC fit needs >= 4 samples");
-  model_ = build_model_for(train, cfg_.model, cfg_.seed);
-  grads_ = std::make_unique<attacks::ModuleGradientSource>(*model_);
+  auto model = build_model_for(train, cfg_.model, cfg_.seed);
 
   const CurriculumSchedule schedule =
       cfg_.use_curriculum
@@ -66,13 +73,17 @@ void Calloc::fit(const data::FingerprintDataset& train) {
   }
 
   AdaptiveCurriculumTrainer trainer(tc);
-  report_ = trainer.train(*model_, train.normalized(), train.labels(),
+  report_ = trainer.train(*model, train.normalized(), train.labels(),
                           schedule);
+  install(std::move(model));
 }
 
 std::vector<std::size_t> Calloc::predict(const Tensor& x) {
   CAL_ENSURE(model_ != nullptr, "CALLOC predict before fit");
-  return autograd::argmax_rows(nn::predict_tensor(*model_, x));
+  // Only the query half runs per call. The forward has no train-mode
+  // layers, so it needs no mode switch and concurrent calls only read.
+  return autograd::argmax_rows(
+      model_->forward(autograd::constant(x), keys_)->value());
 }
 
 std::string Calloc::name() const {
@@ -87,9 +98,11 @@ std::size_t Calloc::weight_bytes() const {
   if (!model_) return 0;
   std::size_t floats = 0;
   for (const auto& p : model_->parameters()) floats += p.var->value().size();
-  // Anchor database + onehot V are part of the resident inference state.
+  // Anchor database, onehot V and the frozen keys are part of the
+  // resident inference state.
   floats += model_->anchor_matrix().size();
   floats += model_->num_anchors() * model_->config().num_rps;
+  floats += keys_.center->value().size() + keys_.keys->value().size();
   return floats * sizeof(float);
 }
 
@@ -114,10 +127,10 @@ void Calloc::load_weights(const std::string& path,
                           const data::FingerprintDataset& train) {
   std::ifstream in(path, std::ios::binary);
   CAL_ENSURE(in.good(), "cannot open " << path << " for reading");
-  model_ = build_model_for(train, cfg_.model, cfg_.seed);
-  model_->load_weights(in);
-  model_->set_training(false);
-  grads_ = std::make_unique<attacks::ModuleGradientSource>(*model_);
+  auto model = build_model_for(train, cfg_.model, cfg_.seed);
+  model->load_weights(in);
+  model->set_training(false);
+  install(std::move(model));
 }
 
 const CurriculumReport& Calloc::report() const {

@@ -59,7 +59,10 @@ class Calloc : public baselines::ILocalizer {
   /// tenants deployed at Precision::Int8.
   std::unique_ptr<baselines::ILocalizer> quantize_int8() override;
 
-  /// Trained model access (for footprint audits and weight IO).
+  /// Trained model access (for footprint audits and weight IO). predict()
+  /// reads anchor keys frozen at the last fit() or load_weights(), so a
+  /// weight edit made through this reference reaches predict() only after
+  /// the next fit() or load_weights().
   CallocModel& model();
 
   /// Persist the trained weights (deployment artefact, ~250 kB at paper
@@ -78,8 +81,13 @@ class Calloc : public baselines::ILocalizer {
   const CurriculumReport& report() const;
 
  private:
+  /// Make `model` the served one: freeze its anchor keys for predict()
+  /// and point the gradient source at it.
+  void install(std::unique_ptr<CallocModel> model);
+
   CallocConfig cfg_;
   std::unique_ptr<CallocModel> model_;
+  AnchorKeys keys_;  // constant leaves of model_->anchor_keys()
   std::unique_ptr<attacks::ModuleGradientSource> grads_;
   std::optional<CurriculumReport> report_;
 };

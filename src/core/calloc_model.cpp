@@ -82,25 +82,35 @@ autograd::Var CallocModel::embed_original_clean(const autograd::Var& x) {
   return autograd::relu(embed_o_->forward(x));
 }
 
-autograd::Var CallocModel::attention_distribution(const autograd::Var& x) {
-  CAL_ENSURE(anchors_ != nullptr, "attention before set_anchors()");
+AnchorKeys CallocModel::anchor_keys() {
+  CAL_ENSURE(anchors_ != nullptr, "anchor_keys before set_anchors()");
   auto k_raw = w_k_->forward(embed_original_clean(anchors_));
   auto center = autograd::mean_over_rows(k_raw);
+  return {center,
+          autograd::l2_normalize_rows(autograd::sub_rowwise(k_raw, center))};
+}
+
+autograd::Var CallocModel::attention_distribution(const autograd::Var& x,
+                                                  const AnchorKeys& keys) {
   auto q = autograd::l2_normalize_rows(autograd::sub_rowwise(
-      w_q_->forward(hyperspace_curriculum(x)), center));
-  auto k = autograd::l2_normalize_rows(autograd::sub_rowwise(k_raw, center));
-  // Fused q·kᵀ keeps the M-anchor score matmul (the serving hot path) free
-  // of the per-call K-transpose copy.
+      w_q_->forward(hyperspace_curriculum(x)), keys.center));
+  // Fused q·kᵀ skips the per-call K-transpose copy of the M-anchor scores.
   auto scores =
-      autograd::scale_by(autograd::matmul_nt(q, k), temperature_);
+      autograd::scale_by(autograd::matmul_nt(q, keys.keys), temperature_);
   return autograd::softmax_rows(scores);
 }
 
 Tensor CallocModel::attention_weights(const Tensor& x) {
-  return attention_distribution(autograd::constant(x))->value();
+  return attention_distribution(autograd::constant(x), anchor_keys())
+      ->value();
 }
 
 autograd::Var CallocModel::forward(const autograd::Var& x) {
+  return forward(x, anchor_keys());
+}
+
+autograd::Var CallocModel::forward(const autograd::Var& x,
+                                   const AnchorKeys& keys) {
   CAL_ENSURE(anchors_ != nullptr,
              "CallocModel::forward before set_anchors()");
   // Q from the query batch through the curriculum hyperspace; K from the
@@ -114,7 +124,7 @@ autograd::Var CallocModel::forward(const autograd::Var& x) {
   // vanishes. Subtracting the mean anchor embedding from both sides
   // removes the common mode and leaves the location-discriminative
   // directions. See DESIGN.md §6.
-  auto weights = attention_distribution(x);
+  auto weights = attention_distribution(x, keys);
   auto attended = autograd::matmul(weights, anchor_onehot_);
   return head_->forward(attended);
 }

@@ -58,6 +58,13 @@ struct CallocModelConfig {
   std::uint64_t seed = 51;
 };
 
+/// Key half of the anchor attention: a function of the weights and the
+/// anchor set only, never of the query batch.
+struct AnchorKeys {
+  autograd::Var center;  ///< (attention_dim) mean raw anchor key
+  autograd::Var keys;    ///< (M x attention_dim) centred, L2-normalised keys
+};
+
 /// Dual-hyperspace scaled-dot-product-attention classifier.
 class CallocModel : public nn::Module {
  public:
@@ -68,8 +75,17 @@ class CallocModel : public nn::Module {
   void set_anchors(const Tensor& anchor_x_normalized,
                    std::span<const std::size_t> anchor_labels);
 
-  /// Logits over RP classes for a normalised fingerprint batch.
+  /// Logits over RP classes for a normalised fingerprint batch:
+  /// forward(x, anchor_keys()), so gradients reach every parameter.
   autograd::Var forward(const autograd::Var& x) override;
+
+  /// Query half: logits for a batch attending over precomputed keys.
+  /// Inference callers pass keys frozen after the last weight change.
+  autograd::Var forward(const autograd::Var& x, const AnchorKeys& keys);
+
+  /// Embed the anchor set through the original hyperspace and project it
+  /// to attention keys (live graph nodes, differentiable).
+  AnchorKeys anchor_keys();
 
   /// Curriculum hyperspace H_C of a batch (B x embed_dim).
   autograd::Var hyperspace_curriculum(const autograd::Var& x);
@@ -108,17 +124,17 @@ class CallocModel : public nn::Module {
   std::size_t attention_parameter_count();
   std::size_t classifier_parameter_count();
 
-  /// Layer access for the int8 quantizer (core/calloc_quant.cpp), which
-  /// snapshots trained weights into a quantized inference copy.
+  /// Query-side layer access for the int8 quantizer
+  /// (core/calloc_quant.cpp), which snapshots trained weights into a
+  /// quantized inference copy; the key side comes from anchor_keys().
   nn::Linear& embed_c_layer() { return *embed_c_; }
-  nn::Linear& embed_o_layer() { return *embed_o_; }
   nn::Linear& attn_wq_layer() { return *w_q_; }
-  nn::Linear& attn_wk_layer() { return *w_k_; }
   nn::Linear& head_layer() { return *head_; }
   float temperature() const { return temperature_->value()[0]; }
 
  private:
-  autograd::Var attention_distribution(const autograd::Var& x);
+  autograd::Var attention_distribution(const autograd::Var& x,
+                                       const AnchorKeys& keys);
   autograd::Var embed_original_clean(const autograd::Var& x);
 
   CallocModelConfig cfg_;

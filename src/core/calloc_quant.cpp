@@ -18,18 +18,6 @@ std::vector<float> copy_bias(nn::Linear& layer) {
   return {b.data(), b.data() + b.size()};
 }
 
-// y = x·W + b for fp32 build-time precomputation (anchor key branch).
-std::vector<float> linear_fp32(std::span<const float> x, std::size_t rows,
-                               nn::Linear& layer) {
-  const Tensor& w = layer.weight()->value();
-  const Tensor& b = layer.bias()->value();
-  std::vector<float> y(rows * w.cols());
-  kernels::gemm_nn(x, w.flat(), y, rows, w.rows(), w.cols());
-  for (std::size_t i = 0; i < rows; ++i)
-    for (std::size_t j = 0; j < w.cols(); ++j) y[i * w.cols() + j] += b[j];
-  return y;
-}
-
 void softmax_rows_inplace(std::vector<float>& x, std::size_t rows,
                           std::size_t cols) {
   for (std::size_t i = 0; i < rows; ++i) {
@@ -79,32 +67,13 @@ QuantizedCalloc::QuantizedCalloc(CallocModel& model) {
     b_head_ = copy_bias(model.head_layer());
   }
 
-  // Anchor key branch, fully precomputed in fp32 then quantized per row
-  // (rows are the gemm_s8_nt output channels): k_raw = W_k·relu(W_eo·A),
-  // centered by the mean key and L2-normalised — constant after training.
-  const Tensor& anchors = model.anchor_matrix();
-  const std::size_t m = anchors.rows();
-  std::vector<float> h =
-      linear_fp32(anchors.flat(), m, model.embed_o_layer());
-  for (float& v : h) v = std::max(v, 0.0F);
-  std::vector<float> k_raw = linear_fp32(h, m, model.attn_wk_layer());
-  center_.assign(attn_dim_, 0.0F);
-  for (std::size_t i = 0; i < m; ++i)
-    for (std::size_t j = 0; j < attn_dim_; ++j)
-      center_[j] += k_raw[i * attn_dim_ + j];
-  const float inv_m = 1.0F / static_cast<float>(m);
-  for (float& v : center_) v *= inv_m;
-  for (std::size_t i = 0; i < m; ++i) {
-    float* row = k_raw.data() + i * attn_dim_;
-    float sq = 0.0F;
-    for (std::size_t j = 0; j < attn_dim_; ++j) {
-      row[j] -= center_[j];
-      sq += row[j] * row[j];
-    }
-    const float inv = 1.0F / std::max(std::sqrt(sq), kNormEps);
-    for (std::size_t j = 0; j < attn_dim_; ++j) row[j] *= inv;
-  }
-  k_norm_ = kernels::quantize_rows(k_raw, m, attn_dim_);
+  // The model's own fp32 anchor keys, quantized per row (rows are the
+  // gemm_s8_nt output channels).
+  const AnchorKeys keys = model.anchor_keys();
+  const Tensor& center = keys.center->value();
+  center_.assign(center.data(), center.data() + center.size());
+  const Tensor& k = keys.keys->value();
+  k_norm_ = kernels::quantize_rows(k.flat(), k.rows(), k.cols());
 }
 
 void QuantizedCalloc::fit(const data::FingerprintDataset& /*train*/) {

@@ -3,12 +3,12 @@
 // Built from a fitted CallocModel at ModelRegistry::publish() time (via
 // Calloc::quantize_int8): every weight matrix is snapshotted to int8 with
 // per-output-channel symmetric scales, biases/temperature/anchor geometry
-// stay fp32, and the anchor KEY matrix is precomputed — the centered,
-// L2-normalised k rows are constant after training, so the whole anchor
-// branch collapses to one stored M x attention_dim int8 matrix. The
-// forward pass then rides gemm_s8_nn/nt end to end with dynamic per-row
-// activation quantization between layers, and the attention·onehot product
-// reduces to a per-label accumulation (V is an indicator matrix).
+// stay fp32, and the anchor keys come from CallocModel::anchor_keys() — the
+// same fp32 key half the model trains with — stored as one per-row
+// quantized M x attention_dim matrix plus the fp32 mean key. The query
+// half then rides gemm_s8_nn/nt end to end with dynamic per-row activation
+// quantization between layers, and the attention·onehot product reduces
+// to a per-label accumulation (V is an indicator matrix).
 //
 // ~4x smaller resident weights than the fp32 replica and roughly double
 // the GEMM throughput on AVX2-class hardware; accuracy tracks fp32 within

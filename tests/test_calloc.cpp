@@ -2,10 +2,15 @@
 // on a small simulated building.
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <numeric>
+
+#include "autograd/ops.hpp"
 #include "common/ensure.hpp"
 #include "core/calloc.hpp"
 #include "eval/frameworks.hpp"
 #include "eval/harness.hpp"
+#include "nn/trainer.hpp"
 #include "sim/collector.hpp"
 
 namespace {
@@ -144,6 +149,54 @@ TEST(Calloc, WeightPersistenceRoundTrip) {
 
   Calloc unfitted(fast_cfg());
   EXPECT_THROW(unfitted.save_weights("/tmp/nope.bin"), PreconditionError);
+}
+
+// The query half run against constant copies of the anchor keys must
+// reproduce forward()'s logits byte for byte, and predict() (which reads
+// the keys Calloc froze at fit/load time) must agree with the full
+// autograd forward on every row.
+void expect_predict_matches_forward(Calloc& calloc_model) {
+  CallocModel& m = calloc_model.model();
+  const AnchorKeys live = m.anchor_keys();
+  const AnchorKeys frozen{autograd::constant(live.center->value()),
+                          autograd::constant(live.keys->value())};
+  const Tensor pool = scenario().train.normalized();
+  for (const std::size_t rows : {1u, 7u, 32u}) {
+    SCOPED_TRACE("batch of " + std::to_string(rows));
+    ASSERT_GE(pool.rows(), rows);
+    std::vector<std::size_t> idx(rows);
+    std::iota(idx.begin(), idx.end(), 0);
+    const Tensor x = nn::gather_rows(pool, idx);
+    const Tensor full = nn::predict_tensor(m, x);
+    const Tensor half = m.forward(autograd::constant(x), frozen)->value();
+    ASSERT_TRUE(half.same_shape(full));
+    EXPECT_EQ(std::memcmp(half.data(), full.data(),
+                          full.size() * sizeof(float)),
+              0);
+    EXPECT_EQ(calloc_model.predict(x), autograd::argmax_rows(full));
+  }
+}
+
+TEST(Calloc, PredictMatchesAutogradForward) {
+  Calloc trained(fast_cfg(29));
+  trained.fit(scenario().train);
+  {
+    SCOPED_TRACE("after fit()");
+    expect_predict_matches_forward(trained);
+  }
+
+  // A replica first fitted with another seed holds that fit's keys until
+  // load_weights() replaces them.
+  const auto path = std::string("/tmp/cal_calloc_keys_weights.bin");
+  trained.save_weights(path);
+  Calloc replica(fast_cfg(31));
+  replica.fit(scenario().train);
+  replica.load_weights(path, scenario().train);
+  std::remove(path.c_str());
+  {
+    SCOPED_TRACE("after load_weights()");
+    expect_predict_matches_forward(replica);
+  }
 }
 
 TEST(Calloc, ModelFootprintIsLightweight) {

@@ -2784,6 +2784,8 @@ TEST(Engine, RobustnessMetricsScrapeRoundTrip) {
   ServeEngine engine(reg.publish(), EngineConfig{});
 
   // One faulted request: opens the breaker AND quarantines the only slot.
+  // process() feeds the breaker only after it resolves the batch's
+  // promises, so wait for the open to land.
   EXPECT_EQ(engine.submit(kf, tiny_fp()).result.get().status,
             ServeStatus::Faulted);
   ASSERT_TRUE(poll_stats(engine, [](const MultiTenantStats& s) {
@@ -2792,6 +2794,7 @@ TEST(Engine, RobustnessMetricsScrapeRoundTrip) {
   EXPECT_EQ(engine.submit(kf, tiny_fp()).admission, Admission::BreakerOpen);
 
   // One deadline-expired and one served request on the healthy tenant.
+  // The engine records `expired` before it resolves the future.
   EXPECT_EQ(engine
                 .submit(kh, tiny_fp(),
                         std::chrono::steady_clock::now() -
@@ -2799,14 +2802,10 @@ TEST(Engine, RobustnessMetricsScrapeRoundTrip) {
                 .result.get()
                 .status,
             ServeStatus::Expired);
+  const MultiTenantStats after_expiry = engine.stats();
+  ASSERT_EQ(after_expiry.per_tenant[1].tenant, kh);
+  EXPECT_EQ(after_expiry.per_tenant[1].stats.expired, 1u);
   EXPECT_TRUE(submit_blocking(engine, kh, tiny_fp()).result.get().localized);
-  // Counters are bumped after the promise resolves; wait for the scrape
-  // population to settle before reading it.
-  ASSERT_TRUE(poll_stats(engine, [](const MultiTenantStats& s) {
-    for (const TenantStats& t : s.per_tenant)
-      if (t.tenant.building == "venue-rh") return t.stats.expired == 1;
-    return false;
-  }));
 
   const obs::MetricsRegistry m = engine.metrics();
   const auto* faulted =
