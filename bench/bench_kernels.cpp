@@ -1,7 +1,9 @@
 // GEMM kernel throughput: naive triple loop vs the blocked/register-tiled
 // cal_kernels path, serial and with the row-block thread pool, across
 // serving-shaped and training-shaped sizes; plus the fused-transpose win
-// (gemm_nt vs transpose-copy + gemm_nn) on the attention score shape.
+// (gemm_nt vs transpose-copy + gemm_nn) on the attention score shape, and
+// each CALLOC query-half layer at serving shapes (Table II Building 1 and
+// 5 widths, batch 1/7/32) through gemm_nn/nt, gemm_packed and int8.
 //
 // Emits BENCH_kernels.json in the working directory so CI can archive the
 // perf trajectory. Run: ./build/bench/bench_kernels
@@ -65,6 +67,34 @@ std::string fmt(double v) {
   std::snprintf(buf, sizeof(buf), "%.2f", v);
   return buf;
 }
+
+/// Best-of-`reps` time of ONE fn() call, in seconds, for calls too short
+/// to time singly: each sample runs fn() often enough to span ~50 µs.
+template <typename Fn>
+double time_per_call(std::size_t reps, double flops, Fn&& fn) {
+  const std::size_t inner = std::clamp<std::size_t>(
+      static_cast<std::size_t>(2.0e7 / std::max(flops, 1.0)), 4, 4096);
+  return time_best(reps, [&] {
+           for (std::size_t i = 0; i < inner; ++i) fn();
+         }) /
+         static_cast<double>(inner);
+}
+
+/// One query-half layer of a served CALLOC model: y = x·W with W k x n
+/// (stored n x k for the attention scores, the gemm_nt layout).
+struct LayerCase {
+  std::string building;
+  std::string layer;
+  std::size_t m, k, n;
+  bool transposed;
+};
+
+struct LayerRow {
+  LayerCase shape;
+  double nn_us = 0.0;      ///< gemm_nn / gemm_nt: packs B on every call
+  double packed_us = 0.0;  ///< gemm_packed on a pack_b operand
+  double int8_us = 0.0;    ///< quantize_rows + gemm_s8_nn / gemm_s8_nt
+};
 
 }  // namespace
 
@@ -172,6 +202,76 @@ int main() {
     s8_speedup = t_f32 / t_s8;
     s8_gflops = gflop(s8shape) / t_s8;
   }
+
+  // CALLOC's query half per layer at serving shapes: the embedding
+  // (num_aps -> 128), the query projection (128 -> 64), the anchor scores
+  // (64 -> one per RP, against stored keys) and the head (RP -> RP), for
+  // Table II Building 1 (156 APs, 65 RPs) and Building 5 (218 APs, 61
+  // RPs). gemm_nn/nt re-pack B on every call; gemm_packed reads panels
+  // packed once, the way Calloc::predict() serves; int8 pays activation
+  // quantization plus gemm_s8_*.
+  std::vector<LayerRow> layer_rows;
+  {
+    struct Venue {
+      const char* name;
+      std::size_t aps, rps;
+    };
+    for (const Venue& v : {Venue{"Building 1", 156, 65},
+                           Venue{"Building 5", 218, 61}})
+      for (const std::size_t batch : {1u, 7u, 32u})
+        for (const LayerCase& c :
+             {LayerCase{v.name, "embed", batch, v.aps, 128, false},
+              LayerCase{v.name, "query", batch, 128, 64, false},
+              LayerCase{v.name, "scores", batch, 64, v.rps, true},
+              LayerCase{v.name, "head", batch, v.rps, v.rps, false}}) {
+          Rng rng(c.m * 131 + c.k * 7 + c.n);
+          const Tensor a = Tensor::randn({c.m, c.k}, rng);
+          const Tensor b = c.transposed ? Tensor::randn({c.n, c.k}, rng)
+                                        : Tensor::randn({c.k, c.n}, rng);
+          const kernels::PackedMatrix packed =
+              kernels::pack_b(b.flat(), c.k, c.n, c.transposed);
+          const kernels::QuantizedMatrix q =
+              c.transposed
+                  ? kernels::quantize_rows(b.flat(), c.n, c.k)
+                  : kernels::quantize_per_output_channel(b.flat(), c.k, c.n);
+          std::vector<std::int8_t> a8(c.m * c.k);
+          std::vector<float> a_scales(c.m);
+          std::vector<float> out(c.m * c.n);
+          const double flops = 2.0 * static_cast<double>(c.m * c.k * c.n);
+          LayerRow r;
+          r.shape = c;
+          r.nn_us = 1e6 * time_per_call(reps, flops, [&] {
+            if (c.transposed)
+              kernels::gemm_nt(a.flat(), b.flat(), out, c.m, c.k, c.n);
+            else
+              kernels::gemm_nn(a.flat(), b.flat(), out, c.m, c.k, c.n);
+          });
+          r.packed_us = 1e6 * time_per_call(reps, flops, [&] {
+            kernels::gemm_packed(a.flat(), packed, out, c.m);
+          });
+          r.int8_us = 1e6 * time_per_call(reps, flops, [&] {
+            kernels::quantize_rows(a.flat(), c.m, c.k, a8, a_scales);
+            if (c.transposed)
+              kernels::gemm_s8_nt(a8, q.data, out, c.m, c.k, c.n, a_scales,
+                                  q.scales);
+            else
+              kernels::gemm_s8_nn(a8, q.data, out, c.m, c.k, c.n, a_scales,
+                                  q.scales);
+          });
+          layer_rows.push_back(r);
+        }
+  }
+  const auto layer_gflops = [](const LayerCase& c, double us) {
+    return 2.0 * static_cast<double>(c.m * c.k * c.n) / (us * 1e3);
+  };
+  // The batch-1 Building 5 embedding (1x218 * 218x128): the layer that
+  // dominated served predict() before the operands were pre-packed.
+  const auto b5_embed = std::find_if(
+      layer_rows.begin(), layer_rows.end(), [](const LayerRow& r) {
+        return r.shape.building == "Building 5" && r.shape.layer == "embed" &&
+               r.shape.m == 1;
+      });
+  const double packed_b1_speedup = b5_embed->nn_us / b5_embed->packed_us;
 
   // Batched/strided multi-head attention scores: one strided
   // gemm_batched_nt over the fused B x (H·D) query vs H per-head gemm_nt
@@ -286,6 +386,20 @@ int main() {
   std::printf("localization error: fp32 %.3f m, int8 %.3f m (delta %+.3f "
               "m)\n\n",
               err_fp32_m, err_int8_m, err_delta_m);
+  TextTable layers({"CALLOC query-half layer", "m x k x n", "nn/nt us",
+                    "packed us", "int8 us", "nn GF/s", "packed GF/s",
+                    "int8 GF/s"});
+  for (const auto& r : layer_rows) {
+    const LayerCase& c = r.shape;
+    layers.add_row({c.building + " " + c.layer,
+                    std::to_string(c.m) + "x" + std::to_string(c.k) + "x" +
+                        std::to_string(c.n),
+                    fmt(r.nn_us), fmt(r.packed_us), fmt(r.int8_us),
+                    fmt(layer_gflops(c, r.nn_us)),
+                    fmt(layer_gflops(c, r.packed_us)),
+                    fmt(layer_gflops(c, r.int8_us))});
+  }
+  std::printf("%s\n", layers.str().c_str());
 
   // Machine-readable trajectory for CI artifacts.
   {
@@ -322,6 +436,23 @@ int main() {
                    "\"matches_loop\": %s},\n",
                    att_heads, att_rows, att_d, att_m, batched_speedup,
                    batched_close ? "true" : "false");
+      std::fprintf(f, "  \"query_half_layers\": [\n");
+      for (std::size_t i = 0; i < layer_rows.size(); ++i) {
+        const LayerRow& r = layer_rows[i];
+        const LayerCase& c = r.shape;
+        std::fprintf(
+            f,
+            "    {\"building\": \"%s\", \"layer\": \"%s\", \"m\": %zu, "
+            "\"k\": %zu, \"n\": %zu,\n"
+            "     \"nn_us\": %.3f, \"packed_us\": %.3f, \"int8_us\": %.3f,\n"
+            "     \"nn_gflops\": %.3f, \"packed_gflops\": %.3f, "
+            "\"int8_gflops\": %.3f}%s\n",
+            c.building.c_str(), c.layer.c_str(), c.m, c.k, c.n, r.nn_us,
+            r.packed_us, r.int8_us, layer_gflops(c, r.nn_us),
+            layer_gflops(c, r.packed_us), layer_gflops(c, r.int8_us),
+            i + 1 < layer_rows.size() ? "," : "");
+      }
+      std::fprintf(f, "  ],\n");
       std::fprintf(f,
                    "  \"quantized_accuracy\": {\"fp32_mean_error_m\": %.4f,"
                    " \"int8_mean_error_m\": %.4f, \"delta_m\": %.4f}\n}\n",
@@ -368,6 +499,12 @@ int main() {
       batched_speedup >= batched_floor,
       "batched attention GEMM beats the per-head loop (floor " +
           fmt(batched_floor) + "x, got " + fmt(batched_speedup) + "x)");
+  // Batch-1 serving: a pre-packed operand skips the per-call B pack and
+  // the small-row kernel skips the padded rows of a 6-row tile.
+  ok &= bench::shape_check(
+      packed_b1_speedup >= 3.0,
+      "gemm_packed >=3x gemm_nn at batch 1 on 1x218x128 (got " +
+          fmt(packed_b1_speedup) + "x)");
   // Signed on purpose: int8 may land BETTER than fp32 (quantization acts
   // as a mild regularizer on this venue) and an improvement must pass.
   ok &= bench::shape_check(

@@ -44,9 +44,7 @@ Calloc::Calloc(CallocConfig cfg) : cfg_(cfg) {
 }
 
 void Calloc::install(std::unique_ptr<CallocModel> model) {
-  const AnchorKeys live = model->anchor_keys();
-  keys_ = {autograd::constant(live.center->value()),
-           autograd::constant(live.keys->value())};
+  frozen_ = model->freeze(WeightFormat::Fp32);
   model_ = std::move(model);
   grads_ = std::make_unique<attacks::ModuleGradientSource>(*model_);
 }
@@ -79,11 +77,12 @@ void Calloc::fit(const data::FingerprintDataset& train) {
 }
 
 std::vector<std::size_t> Calloc::predict(const Tensor& x) {
+  return autograd::argmax_rows(logits(x));
+}
+
+Tensor Calloc::logits(const Tensor& x) const {
   CAL_ENSURE(model_ != nullptr, "CALLOC predict before fit");
-  // Only the query half runs per call. The forward has no train-mode
-  // layers, so it needs no mode switch and concurrent calls only read.
-  return autograd::argmax_rows(
-      model_->forward(autograd::constant(x), keys_)->value());
+  return frozen_.logits(x);
 }
 
 std::string Calloc::name() const {
@@ -98,12 +97,11 @@ std::size_t Calloc::weight_bytes() const {
   if (!model_) return 0;
   std::size_t floats = 0;
   for (const auto& p : model_->parameters()) floats += p.var->value().size();
-  // Anchor database, onehot V and the frozen keys are part of the
+  // Anchor database, onehot V and the frozen query half are part of the
   // resident inference state.
   floats += model_->anchor_matrix().size();
   floats += model_->num_anchors() * model_->config().num_rps;
-  floats += keys_.center->value().size() + keys_.keys->value().size();
-  return floats * sizeof(float);
+  return floats * sizeof(float) + frozen_.bytes();
 }
 
 std::unique_ptr<baselines::ILocalizer> Calloc::quantize_int8() {

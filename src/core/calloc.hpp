@@ -59,10 +59,16 @@ class Calloc : public baselines::ILocalizer {
   /// tenants deployed at Precision::Int8.
   std::unique_ptr<baselines::ILocalizer> quantize_int8() override;
 
+  /// RP logits behind predict(): the query half frozen at the last fit()
+  /// or load_weights() (CallocModel::freeze), byte-equal to the autograd
+  /// forward's.
+  Tensor logits(const Tensor& x_normalized) const;
+
   /// Trained model access (for footprint audits and weight IO). predict()
-  /// reads anchor keys frozen at the last fit() or load_weights(), so a
-  /// weight edit made through this reference reaches predict() only after
-  /// the next fit() or load_weights().
+  /// runs a copy of the query-half weights and anchor keys frozen at the
+  /// last fit() or load_weights(), so a weight edit made through this
+  /// reference reaches predict() only after the next fit() or
+  /// load_weights().
   CallocModel& model();
 
   /// Persist the trained weights (deployment artefact, ~250 kB at paper
@@ -81,13 +87,13 @@ class Calloc : public baselines::ILocalizer {
   const CurriculumReport& report() const;
 
  private:
-  /// Make `model` the served one: freeze its anchor keys for predict()
+  /// Make `model` the served one: freeze its query half for predict()
   /// and point the gradient source at it.
   void install(std::unique_ptr<CallocModel> model);
 
   CallocConfig cfg_;
   std::unique_ptr<CallocModel> model_;
-  AnchorKeys keys_;  // constant leaves of model_->anchor_keys()
+  FrozenQueryHalf frozen_;  // model_->freeze(WeightFormat::Fp32)
   std::unique_ptr<attacks::ModuleGradientSource> grads_;
   std::optional<CurriculumReport> report_;
 };

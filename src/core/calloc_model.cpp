@@ -1,11 +1,111 @@
 #include "core/calloc_model.hpp"
 
 #include <algorithm>
+#include <cmath>
 
 #include "autograd/ops.hpp"
 #include "common/ensure.hpp"
 
 namespace cal::core {
+namespace {
+
+// autograd::l2_normalize_rows' default epsilon.
+constexpr float kNormEps = 1e-8F;
+
+// x·W for one frozen operand W. An int8 operand quantizes x per row first;
+// a per-row int8 matrix holds W transposed (its rows are the output
+// channels — the anchor keys).
+Tensor times(const Tensor& x, const FrozenQueryHalf::Operand& w) {
+  const std::size_t rows = x.rows();
+  if (const auto* packed = std::get_if<kernels::PackedMatrix>(&w)) {
+    Tensor y = Tensor::uninitialized({rows, packed->n()});
+    kernels::gemm_packed(x.flat(), *packed, y.flat(), rows);
+    return y;
+  }
+  const auto& q = std::get<kernels::QuantizedMatrix>(w);
+  const std::size_t k = q.per_row ? q.cols : q.rows;
+  const std::size_t n = q.per_row ? q.rows : q.cols;
+  std::vector<std::int8_t> x8(rows * k);
+  std::vector<float> scales(rows);
+  kernels::quantize_rows(x.flat(), rows, k, x8, scales);
+  Tensor y = Tensor::uninitialized({rows, n});
+  if (q.per_row)
+    kernels::gemm_s8_nt(x8, q.data, y.flat(), rows, k, n, scales, q.scales);
+  else
+    kernels::gemm_s8_nn(x8, q.data, y.flat(), rows, k, n, scales, q.scales);
+  return y;
+}
+
+// x·W + b, adding the bias as autograd::add_rowwise does.
+Tensor apply(const FrozenQueryHalf::Layer& layer, const Tensor& x) {
+  Tensor y = times(x, layer.w);
+  const std::size_t cols = y.cols();
+  for (std::size_t i = 0; i < y.rows(); ++i) {
+    float* row = y.data() + i * cols;
+    for (std::size_t j = 0; j < cols; ++j) row[j] += layer.bias[j];
+  }
+  return y;
+}
+
+std::size_t operand_bytes(const FrozenQueryHalf::Operand& w) {
+  return std::visit([](const auto& m) { return m.bytes(); }, w);
+}
+
+}  // namespace
+
+Tensor FrozenQueryHalf::logits(const Tensor& x) const {
+  CAL_ENSURE(x.rank() == 2 && x.cols() == num_aps_,
+             "CALLOC expects input (*, " << num_aps_ << "), got "
+                                         << x.shape_str());
+  const std::size_t rows = x.rows();
+  // H_C = relu(x·W_ec + b).
+  Tensor h = apply(embed_, x);
+  for (float& v : h.flat())
+    if (v < 0.0F) v = 0.0F;
+
+  // q = l2_normalize((h·W_q + b) − centre).
+  Tensor q = apply(query_, h);
+  const std::size_t d = q.cols();
+  for (std::size_t i = 0; i < rows; ++i) {
+    float* row = q.data() + i * d;
+    float sq = 0.0F;
+    for (std::size_t j = 0; j < d; ++j) {
+      row[j] -= center_[j];
+      sq += row[j] * row[j];
+    }
+    const float inv = 1.0F / std::max(std::sqrt(sq), kNormEps);
+    for (std::size_t j = 0; j < d; ++j) row[j] *= inv;
+  }
+
+  // Attention over the anchors: softmax of temperature-scaled centred
+  // cosines.
+  Tensor scores = times(q, keys_);
+  for (float& v : scores.flat()) v *= temperature_;
+  const Tensor weights = autograd::softmax_rows_tensor(scores);
+
+  // weights·V with V the anchors' RP indicators: a per-label sum of
+  // attention mass. It equals the autograd GEMM bit for bit when no label
+  // has anchors on both sides of a 256-anchor k block (CALLOC installs
+  // one anchor per RP).
+  const std::size_t m = anchor_labels_.size();
+  Tensor attended({rows, head_.bias.size()});
+  for (std::size_t i = 0; i < rows; ++i) {
+    const float* wrow = weights.data() + i * m;
+    float* arow = attended.data() + i * attended.cols();
+    for (std::size_t a = 0; a < m; ++a) arow[anchor_labels_[a]] += wrow[a];
+  }
+  return apply(head_, attended);
+}
+
+std::size_t FrozenQueryHalf::bytes() const {
+  const std::size_t floats = embed_.bias.size() + query_.bias.size() +
+                             center_.size() + 1 /*temperature*/ +
+                             head_.bias.size();
+  return operand_bytes(embed_.w) + operand_bytes(query_.w) +
+         operand_bytes(keys_) + operand_bytes(head_.w) +
+         floats * sizeof(float) +
+         anchor_labels_.size() * sizeof(std::size_t);
+}
 
 CallocModel::CallocModel(CallocModelConfig cfg) : cfg_(cfg) {
   CAL_ENSURE(cfg_.num_aps > 0, "CallocModel needs num_aps > 0");
@@ -90,6 +190,40 @@ AnchorKeys CallocModel::anchor_keys() {
           autograd::l2_normalize_rows(autograd::sub_rowwise(k_raw, center))};
 }
 
+FrozenQueryHalf CallocModel::freeze(WeightFormat format) {
+  CAL_ENSURE(anchors_ != nullptr, "freeze before set_anchors()");
+  const bool fp32 = format == WeightFormat::Fp32;
+  const auto linear = [fp32](nn::Linear& layer) {
+    const Tensor& w = layer.weight()->value();
+    const Tensor& b = layer.bias()->value();
+    return FrozenQueryHalf::Layer{
+        fp32 ? FrozenQueryHalf::Operand(
+                   kernels::pack_b(w.flat(), w.rows(), w.cols()))
+             : kernels::quantize_per_output_channel(w.flat(), w.rows(),
+                                                    w.cols()),
+        {b.data(), b.data() + b.size()}};
+  };
+  FrozenQueryHalf f;
+  f.num_aps_ = cfg_.num_aps;
+  f.embed_ = linear(*embed_c_);
+  f.query_ = linear(*w_q_);
+  f.head_ = linear(*head_);
+  // The key rows are the output channels of q·Kᵀ: packed as the
+  // transposed operand, or quantized one scale per row.
+  const AnchorKeys keys = anchor_keys();
+  const Tensor& k = keys.keys->value();
+  if (fp32)
+    f.keys_ = kernels::pack_b(k.flat(), k.cols(), k.rows(),
+                              /*transposed=*/true);
+  else
+    f.keys_ = kernels::quantize_rows(k.flat(), k.rows(), k.cols());
+  const Tensor& center = keys.center->value();
+  f.center_.assign(center.data(), center.data() + center.size());
+  f.temperature_ = temperature_->value()[0];
+  f.anchor_labels_ = anchor_labels_;
+  return f;
+}
+
 autograd::Var CallocModel::attention_distribution(const autograd::Var& x,
                                                   const AnchorKeys& keys) {
   auto q = autograd::l2_normalize_rows(autograd::sub_rowwise(
@@ -106,11 +240,6 @@ Tensor CallocModel::attention_weights(const Tensor& x) {
 }
 
 autograd::Var CallocModel::forward(const autograd::Var& x) {
-  return forward(x, anchor_keys());
-}
-
-autograd::Var CallocModel::forward(const autograd::Var& x,
-                                   const AnchorKeys& keys) {
   CAL_ENSURE(anchors_ != nullptr,
              "CallocModel::forward before set_anchors()");
   // Q from the query batch through the curriculum hyperspace; K from the
@@ -124,7 +253,7 @@ autograd::Var CallocModel::forward(const autograd::Var& x,
   // vanishes. Subtracting the mean anchor embedding from both sides
   // removes the common mode and leaves the location-discriminative
   // directions. See DESIGN.md §6.
-  auto weights = attention_distribution(x, keys);
+  auto weights = attention_distribution(x, anchor_keys());
   auto attended = autograd::matmul(weights, anchor_onehot_);
   return head_->forward(attended);
 }

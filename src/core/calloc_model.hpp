@@ -22,7 +22,11 @@
 #pragma once
 
 #include <memory>
+#include <variant>
+#include <vector>
 
+#include "kernels/gemm.hpp"
+#include "kernels/quant.hpp"
 #include "nn/linear.hpp"
 #include "nn/module.hpp"
 #include "nn/regularizers.hpp"
@@ -65,6 +69,45 @@ struct AnchorKeys {
   autograd::Var keys;    ///< (M x attention_dim) centred, L2-normalised keys
 };
 
+/// Weight storage of a FrozenQueryHalf: fp32 pre-packed for
+/// kernels::gemm_packed, or int8 with one scale per output channel.
+enum class WeightFormat { Fp32, Int8 };
+
+/// The inference query half of a trained CallocModel — what
+/// Calloc::predict() and QuantizedCalloc both run. CallocModel::freeze()
+/// copies every operand out of the model: the query-side Linear weights
+/// and the anchor keys of anchor_keys() in the chosen WeightFormat, and
+/// the biases, the key centre, the temperature and the anchor labels in
+/// fp32. logits() follows forward()'s op order on plain tensors,
+/// so at Fp32 it is byte-equal to the autograd forward. Immutable once
+/// built: concurrent logits() calls only read.
+class FrozenQueryHalf {
+ public:
+  /// RP logits for a normalised (B x num_aps) fingerprint batch.
+  Tensor logits(const Tensor& x_normalized) const;
+
+  /// Resident bytes of the frozen operands.
+  std::size_t bytes() const;
+
+  using Operand = std::variant<kernels::PackedMatrix, kernels::QuantizedMatrix>;
+  struct Layer {
+    Operand w;  ///< (in x out); y = x·W + bias
+    std::vector<float> bias;
+  };
+
+ private:
+  friend class CallocModel;
+
+  std::size_t num_aps_ = 0;
+  Layer embed_;   // H_C embedding (relu follows)
+  Layer query_;   // attention query projection
+  Operand keys_;  // (attention_dim x M) anchor keys, applied as q·K
+  std::vector<float> center_;  // (attention_dim) mean raw anchor key
+  float temperature_ = 1.0F;
+  std::vector<std::size_t> anchor_labels_;  // (M) RP label per key
+  Layer head_;
+};
+
 /// Dual-hyperspace scaled-dot-product-attention classifier.
 class CallocModel : public nn::Module {
  public:
@@ -75,17 +118,14 @@ class CallocModel : public nn::Module {
   void set_anchors(const Tensor& anchor_x_normalized,
                    std::span<const std::size_t> anchor_labels);
 
-  /// Logits over RP classes for a normalised fingerprint batch:
-  /// forward(x, anchor_keys()), so gradients reach every parameter.
+  /// Logits over RP classes for a normalised fingerprint batch. The
+  /// anchor keys are re-embedded on every call, so gradients reach every
+  /// parameter.
   autograd::Var forward(const autograd::Var& x) override;
 
-  /// Query half: logits for a batch attending over precomputed keys.
-  /// Inference callers pass keys frozen after the last weight change.
-  autograd::Var forward(const autograd::Var& x, const AnchorKeys& keys);
-
-  /// Embed the anchor set through the original hyperspace and project it
-  /// to attention keys (live graph nodes, differentiable).
-  AnchorKeys anchor_keys();
+  /// Snapshot the query half and the current anchor keys for inference.
+  /// Later weight edits do not reach the snapshot.
+  FrozenQueryHalf freeze(WeightFormat format);
 
   /// Curriculum hyperspace H_C of a batch (B x embed_dim).
   autograd::Var hyperspace_curriculum(const autograd::Var& x);
@@ -124,15 +164,10 @@ class CallocModel : public nn::Module {
   std::size_t attention_parameter_count();
   std::size_t classifier_parameter_count();
 
-  /// Query-side layer access for the int8 quantizer
-  /// (core/calloc_quant.cpp), which snapshots trained weights into a
-  /// quantized inference copy; the key side comes from anchor_keys().
-  nn::Linear& embed_c_layer() { return *embed_c_; }
-  nn::Linear& attn_wq_layer() { return *w_q_; }
-  nn::Linear& head_layer() { return *head_; }
-  float temperature() const { return temperature_->value()[0]; }
-
  private:
+  /// Embed the anchor set through the original hyperspace and project it
+  /// to attention keys (live graph nodes, differentiable).
+  AnchorKeys anchor_keys();
   autograd::Var attention_distribution(const autograd::Var& x,
                                        const AnchorKeys& keys);
   autograd::Var embed_original_clean(const autograd::Var& x);

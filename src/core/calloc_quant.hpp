@@ -1,14 +1,11 @@
-// Int8-quantized inference copy of a trained CALLOC model.
+// Int8 inference replica of a trained CALLOC model.
 //
 // Built from a fitted CallocModel at ModelRegistry::publish() time (via
-// Calloc::quantize_int8): every weight matrix is snapshotted to int8 with
-// per-output-channel symmetric scales, biases/temperature/anchor geometry
-// stay fp32, and the anchor keys come from CallocModel::anchor_keys() — the
-// same fp32 key half the model trains with — stored as one per-row
-// quantized M x attention_dim matrix plus the fp32 mean key. The query
-// half then rides gemm_s8_nn/nt end to end with dynamic per-row activation
-// quantization between layers, and the attention·onehot product reduces
-// to a per-label accumulation (V is an indicator matrix).
+// Calloc::quantize_int8) as CallocModel::freeze(WeightFormat::Int8): the
+// same frozen query half fp32 Calloc::predict() runs, with every weight
+// matrix and the anchor keys stored int8 (one symmetric scale per output
+// channel) and biases, key centre and temperature in fp32. Each GEMM
+// quantizes its activations per row and rides gemm_s8_nn/nt.
 //
 // ~4x smaller resident weights than the fp32 replica and roughly double
 // the GEMM throughput on AVX2-class hardware; accuracy tracks fp32 within
@@ -21,14 +18,12 @@
 #include <vector>
 
 #include "baselines/localizer.hpp"
-#include "kernels/quant.hpp"
+#include "core/calloc_model.hpp"
 
 namespace cal::core {
 
-class CallocModel;
-
-/// Quantized CALLOC forward path as an ILocalizer, deployable wherever the
-/// fp32 model is (TenantSpec precision = Precision::Int8).
+/// Int8 CALLOC as an ILocalizer, deployable wherever the fp32 model is
+/// (TenantSpec precision = Precision::Int8).
 class QuantizedCalloc : public baselines::ILocalizer {
  public:
   /// Snapshot a trained model (anchors installed) into int8 form.
@@ -42,26 +37,11 @@ class QuantizedCalloc : public baselines::ILocalizer {
   std::string name() const override;
   std::size_t weight_bytes() const override;
 
-  /// RP probabilities (post-head softmax is skipped — argmax over logits
-  /// equals argmax over probabilities); exposed for accuracy tests.
-  std::vector<float> logits(const Tensor& x_normalized);
+  /// RP logits behind predict(); exposed for accuracy tests.
+  Tensor logits(const Tensor& x_normalized) const;
 
  private:
-  std::size_t num_aps_ = 0;
-  std::size_t embed_dim_ = 0;
-  std::size_t attn_dim_ = 0;
-  std::size_t num_rps_ = 0;
-
-  kernels::QuantizedMatrix w_embed_c_;  // (num_aps x embed_dim), per-col
-  std::vector<float> b_embed_c_;
-  kernels::QuantizedMatrix w_q_;        // (embed_dim x attn_dim), per-col
-  std::vector<float> b_q_;
-  kernels::QuantizedMatrix k_norm_;     // (M x attn_dim), per-row
-  std::vector<float> center_;           // (attn_dim)
-  float temperature_ = 1.0F;
-  std::vector<std::size_t> anchor_labels_;  // (M)
-  kernels::QuantizedMatrix w_head_;     // (num_rps x num_rps), per-col
-  std::vector<float> b_head_;
+  FrozenQueryHalf frozen_;
 };
 
 }  // namespace cal::core

@@ -169,7 +169,7 @@ std::mutex& pool_gate() {
 // Pool-owned packed-B scratch, reused across parallel GEMMs (guarded by
 // pool_gate: only the gate holder packs into and reads from it). Packing
 // once here and letting every row-split task read the shared image removes
-// the per-thread re-pack tax the self-packing serial driver pays.
+// the per-task re-pack tax.
 std::vector<float>& shared_bpack_f32() {
   static std::vector<float> buf;
   return buf;
@@ -252,6 +252,90 @@ std::size_t row_chunk(std::size_t m, std::size_t granule, std::size_t want) {
   return chunk_blocks * granule;
 }
 
+// --- fp32 block loop -----------------------------------------------------
+
+// Right-hand operand of one fp32 GEMM: a stored matrix (row stride ldb,
+// transposed when tb) packed block by block as the loop reaches it, or
+// the panels of a PackedMatrix.
+struct Rhs {
+  const float* b = nullptr;
+  std::size_t ldb = 0;
+  bool tb = false;
+  const float* packed = nullptr;
+};
+
+// One (j0, nc) x (p0, kc) cache block of op(B), with the accumulate flag
+// its row pass uses.
+struct Block {
+  std::size_t p0, kc, j0, nc;
+  bool acc;
+};
+
+// n columns rounded up to whole panel_nr-wide panels.
+std::size_t panel_padded(const GemmF32Ops& ops, std::size_t n) {
+  return (n + ops.panel_nr - 1) / ops.panel_nr * ops.panel_nr;
+}
+
+// Where block (j0, p0) starts in a PackedMatrix: every earlier column
+// block is a full block_nc wide (whole panels), so it holds k * block_nc
+// floats; within a column block, k block p0 follows p0 rows of its
+// panel-padded width.
+std::size_t packed_offset(const GemmF32Ops& ops, std::size_t k,
+                          const Block& blk) {
+  return blk.j0 * k + blk.p0 * panel_padded(ops, blk.nc);
+}
+
+// The (j0, p0) cache-block loop behind every fp32 GEMM and pack_b. Later
+// k blocks accumulate onto the partial sums of earlier ones: ascending-k
+// order, with one reassociation point per block_kc boundary.
+template <typename Fn>
+void for_each_block(const GemmF32Ops& ops, std::size_t k, std::size_t n,
+                    bool accumulate, const Fn& fn) {
+  for (std::size_t j0 = 0; j0 < n; j0 += ops.block_nc) {
+    const std::size_t nc = std::min(ops.block_nc, n - j0);
+    for (std::size_t p0 = 0; p0 < k; p0 += ops.block_kc)
+      fn(Block{p0, std::min(ops.block_kc, k - p0), j0, nc,
+               accumulate || p0 > 0});
+  }
+}
+
+// The panels of one block: read in place from a pre-packed operand, else
+// packed into `scratch` (one block_kc x block_nc block).
+const float* block_panels(const GemmF32Ops& ops, const Rhs& rhs,
+                          std::size_t k, const Block& blk, float* scratch) {
+  if (rhs.packed != nullptr) return rhs.packed + packed_offset(ops, k, blk);
+  ops.pack_b_block(rhs.b, rhs.ldb, rhs.tb, blk.p0, blk.kc, blk.j0, blk.nc,
+                   scratch);
+  return scratch;
+}
+
+// Audited: the per-thread B-packing scratch grows once to one cache block
+// and is reused for every later GEMM on that thread. A pre-packed operand
+// never touches it.
+CAL_LINT_SUPPRESS(alloc, "thread-local packing scratch grows once, then reused")
+float* bpack_scratch(const GemmF32Ops& ops, const Rhs& rhs,
+                     std::vector<float>& buf) {
+  if (rhs.packed != nullptr) return nullptr;
+  const std::size_t need = ops.block_kc * ops.block_nc;
+  if (buf.size() < need) buf.resize(need);
+  return buf.data();
+}
+
+thread_local std::vector<float> t_bpack;
+
+// Rows [i_begin, i_end) of C (+)= op(A)·op(B) on the calling thread.
+void gemm_rows(const GemmF32Ops& ops, const float* a, const Rhs& rhs,
+               float* c, std::size_t k, std::size_t n, std::size_t lda,
+               std::size_t ldc, bool ta, bool accumulate,
+               std::size_t i_begin, std::size_t i_end) {
+  float* scratch = bpack_scratch(ops, rhs, t_bpack);
+  for_each_block(ops, k, n, accumulate, [&](const Block& blk) {
+    ops.gemm_rows_prepacked(a, block_panels(ops, rhs, k, blk, scratch), c,
+                            lda, ldc, ta, blk.acc, blk.p0, blk.kc, blk.j0,
+                            blk.nc, i_begin, i_end);
+  });
+}
+
 // --- fp32 dispatch --------------------------------------------------------
 
 // Audited: pool().run() parks the caller on cv_done_ until the row tasks
@@ -259,55 +343,45 @@ std::size_t row_chunk(std::size_t m, std::size_t granule, std::size_t want) {
 // design since PR 3 (serial fallback exists; bench_kernels gates the
 // speedup). The try_to_lock pool gate itself never blocks.
 CAL_LINT_SUPPRESS(block, "pool fan-out joins bounded compute tasks; synchronous by design")
-void gemm_impl(const float* a, const float* b, float* c, std::size_t m,
-               std::size_t k, std::size_t n, bool ta, bool tb,
-               bool accumulate) {
+void gemm_impl(const float* a, const Rhs& rhs, float* c, std::size_t m,
+               std::size_t k, std::size_t n, bool ta, bool accumulate) {
   const GemmF32Ops& ops = f32();
-  // Dense leading dimensions: the stored row widths of each operand.
+  // Dense leading dimensions: the stored row widths of A and C.
   const std::size_t lda = ta ? m : k;
-  const std::size_t ldb = tb ? k : n;
   const std::size_t ldc = n;
   const std::size_t mt = max_threads();
   const double flops = 2.0 * static_cast<double>(m) * static_cast<double>(k) *
                        static_cast<double>(n);
   if (mt > 1 && flops >= kParallelMinFlops && m > kMR) {
     std::unique_lock gate(pool_gate(), std::try_to_lock);
-    if (!gate.owns_lock()) {
-      note_serial_fallback();
-      ops.gemm_rows(a, b, c, m, k, n, lda, ldb, ldc, ta, tb, accumulate, 0, m);
-      return;
-    }
-    const std::size_t want = std::min(mt, pool().workers() + 1);
-    const std::size_t chunk = row_chunk(m, kMR, want);
-    const std::size_t tasks = (m + chunk - 1) / chunk;
-    std::vector<float>& bpack = shared_bpack_f32();
-    if (bpack.size() < ops.packed_b_floats) bpack.resize(ops.packed_b_floats);
-    // Drive the cache-block loops here so B is packed ONCE per (j0, p0)
-    // block and every row task reads the shared panel. Same block order
-    // and same per-element reduction order as the serial driver, so the
-    // result is bit-identical to gemm_rows over [0, m).
-    std::size_t packs = 0;
-    for (std::size_t j0 = 0; j0 < n; j0 += ops.block_nc) {
-      const std::size_t nc = std::min(ops.block_nc, n - j0);
-      for (std::size_t p0 = 0; p0 < k; p0 += ops.block_kc) {
-        const std::size_t kc = std::min(ops.block_kc, k - p0);
-        const bool acc_block = accumulate || p0 > 0;
-        ops.pack_b_block(b, k, n, ldb, tb, p0, kc, j0, nc, bpack.data());
-        ++packs;
+    if (gate.owns_lock()) {
+      const std::size_t want = std::min(mt, pool().workers() + 1);
+      const std::size_t chunk = row_chunk(m, kMR, want);
+      const std::size_t tasks = (m + chunk - 1) / chunk;
+      float* scratch = bpack_scratch(ops, rhs, shared_bpack_f32());
+      // Drive the block loop here so each block of B is packed ONCE (or
+      // read pre-packed) and every row task reads the same panels. Same
+      // block order and per-element reduction order as the serial path,
+      // so the result is bit-identical to gemm_rows over [0, m).
+      std::size_t packs = 0;
+      for_each_block(ops, k, n, accumulate, [&](const Block& blk) {
+        const float* panels = block_panels(ops, rhs, k, blk, scratch);
+        packs += rhs.packed == nullptr ? 1 : 0;
         pool().run(tasks, [&](std::size_t t) {
           timed_task([&] {
             const std::size_t i_begin = t * chunk;
-            const std::size_t i_end = std::min(m, i_begin + chunk);
-            ops.gemm_rows_prepacked(a, bpack.data(), c, m, k, n, lda, ldc, ta,
-                                    acc_block, p0, kc, j0, nc, i_begin, i_end);
+            ops.gemm_rows_prepacked(a, panels, c, lda, ldc, ta, blk.acc,
+                                    blk.p0, blk.kc, blk.j0, blk.nc, i_begin,
+                                    std::min(m, i_begin + chunk));
           });
         });
-      }
+      });
+      note_parallel_gemm(packs);
+      return;
     }
-    note_parallel_gemm(packs);
-    return;
+    note_serial_fallback();
   }
-  ops.gemm_rows(a, b, c, m, k, n, lda, ldb, ldc, ta, tb, accumulate, 0, m);
+  gemm_rows(ops, a, rhs, c, k, n, lda, ldc, ta, accumulate, 0, m);
 }
 
 void check_args(std::span<const float> a, std::span<const float> b,
@@ -403,9 +477,9 @@ void gemm_batched_impl(const float* a, const float* b, float* c,
   const GemmF32Ops& ops = f32();
   const auto item = [&](std::size_t e, std::size_t i_begin,
                         std::size_t i_end) {
-    ops.gemm_rows(a + e * r.stride_a, b + e * r.stride_b, c + e * r.stride_c,
-                  m, k, n, r.lda, r.ldb, r.ldc, ta, tb, accumulate, i_begin,
-                  i_end);
+    gemm_rows(ops, a + e * r.stride_a, Rhs{b + e * r.stride_b, r.ldb, tb},
+              c + e * r.stride_c, k, n, r.lda, r.ldc, ta, accumulate,
+              i_begin, i_end);
   };
   const std::size_t mt = max_threads();
   const double flops = 2.0 * static_cast<double>(batch) *
@@ -510,21 +584,61 @@ void gemm_nn(std::span<const float> a, std::span<const float> b,
              std::span<float> c, std::size_t m, std::size_t k, std::size_t n,
              bool accumulate) {
   check_args(a, b, c, m, k, n);
-  gemm_impl(a.data(), b.data(), c.data(), m, k, n, false, false, accumulate);
+  gemm_impl(a.data(), Rhs{b.data(), n, false}, c.data(), m, k, n, false,
+            accumulate);
 }
 
 void gemm_nt(std::span<const float> a, std::span<const float> b,
              std::span<float> c, std::size_t m, std::size_t k, std::size_t n,
              bool accumulate) {
   check_args(a, b, c, m, k, n);
-  gemm_impl(a.data(), b.data(), c.data(), m, k, n, false, true, accumulate);
+  gemm_impl(a.data(), Rhs{b.data(), k, true}, c.data(), m, k, n, false,
+            accumulate);
 }
 
 void gemm_tn(std::span<const float> a, std::span<const float> b,
              std::span<float> c, std::size_t m, std::size_t k, std::size_t n,
              bool accumulate) {
   check_args(a, b, c, m, k, n);
-  gemm_impl(a.data(), b.data(), c.data(), m, k, n, true, false, accumulate);
+  gemm_impl(a.data(), Rhs{b.data(), n, false}, c.data(), m, k, n, true,
+            accumulate);
+}
+
+PackedMatrix pack_b(std::span<const float> b, std::size_t k, std::size_t n,
+                    bool transposed) {
+  CAL_ENSURE(k > 0 && n > 0,
+             "pack_b dims must be positive: " << k << "x" << n);
+  CAL_ENSURE(b.size() == k * n, "pack_b span has " << b.size()
+                                                   << " floats, expected "
+                                                   << k * n);
+  const GemmF32Ops& ops = f32();
+  PackedMatrix out;
+  out.k_ = k;
+  out.n_ = n;
+  // The blocks tile the buffer and pack_b_block writes every float of a
+  // block, zero padding included.
+  out.panels_.resize(panel_padded(ops, n) * k);
+  const std::size_t ldb = transposed ? k : n;
+  for_each_block(ops, k, n, false, [&](const Block& blk) {
+    ops.pack_b_block(b.data(), ldb, transposed, blk.p0, blk.kc, blk.j0,
+                     blk.nc, out.panels_.data() + packed_offset(ops, k, blk));
+  });
+  return out;
+}
+
+void gemm_packed(std::span<const float> a, const PackedMatrix& b,
+                 std::span<float> c, std::size_t m, bool accumulate) {
+  CAL_ENSURE(!b.panels_.empty(), "gemm_packed on an empty PackedMatrix");
+  CAL_ENSURE(m > 0, "gemm_packed needs m > 0");
+  CAL_ENSURE(a.size() == m * b.k_, "gemm_packed lhs span has "
+                                       << a.size() << " floats, expected "
+                                       << m * b.k_);
+  CAL_ENSURE(c.size() == m * b.n_, "gemm_packed out span has "
+                                       << c.size() << " floats, expected "
+                                       << m * b.n_);
+  Rhs rhs;
+  rhs.packed = b.panels_.data();
+  gemm_impl(a.data(), rhs, c.data(), m, b.k_, b.n_, false, accumulate);
 }
 
 void gemm_naive(std::span<const float> a, std::span<const float> b,

@@ -27,16 +27,30 @@
 //
 // The inner micro-kernel is a kMR x kNR register tile whose accumulators
 // are 8-wide vector lanes held across the whole k sweep (see
-// gemm_kernel_body.inc). The portable build compiles it twice — baseline
+// gemm_kernel_body.inc). Rows past the last full kMR tile — every row of
+// a batch-1 serving GEMM — take a small-row kernel that computes only the
+// live rows and sweeps several column panels per pass instead of padding
+// a tile with zero rows. The portable build compiles it twice — baseline
 // ISA plus x86-64-v3 (AVX2+FMA), plus an int8-only x86-64-v4 (AVX-512)
 // instantiation under CALLOC_ENABLE_AVX512 — and picks per CPU at
 // runtime; -DCALLOC_ENABLE_NATIVE=ON instead compiles a single host-tuned
 // (-march=native) instantiation.
+//
+// Every fp32 GEMM packs B block by block into kNR-column panels before
+// the micro-kernel reads it. A weight matrix that many GEMMs share can be
+// packed once instead: pack_b() builds an immutable PackedMatrix in the
+// dispatched kernel's panel layout and gemm_packed() multiplies by it.
+// Neither the packed operand nor the small-row kernel changes the
+// numerical contract above: each output element gets the full tile's
+// ascending-k operation sequence on every path, so gemm_packed returns
+// gemm_nn's (gemm_nt's) exact bits, per ISA tier and for any thread
+// count.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <span>
+#include <vector>
 
 #include "obs/histogram.hpp"
 
@@ -57,6 +71,46 @@ void gemm_nt(std::span<const float> a, std::span<const float> b,
 void gemm_tn(std::span<const float> a, std::span<const float> b,
              std::span<float> c, std::size_t m, std::size_t k, std::size_t n,
              bool accumulate = false);
+
+// --- pre-packed right-hand operand ---------------------------------------
+
+class PackedMatrix;
+
+/// Pack B once for gemm_packed: B is k x n, or stored n x k (row-major)
+/// when `transposed` — the gemm_nt layout.
+PackedMatrix pack_b(std::span<const float> b, std::size_t k, std::size_t n,
+                    bool transposed = false);
+
+/// C (+)= A·B with B pre-packed by pack_b. A: m x b.k(), C: m x b.n().
+/// Same bits as gemm_nn (gemm_nt for a transposed operand) on the
+/// unpacked B, for every shape and thread count.
+void gemm_packed(std::span<const float> a, const PackedMatrix& b,
+                 std::span<float> c, std::size_t m, bool accumulate = false);
+
+/// An fp32 right-hand GEMM operand packed ahead of time into the panel
+/// layout of the dispatched kernel, so a weight matrix that many GEMMs
+/// share is packed once instead of on every call. Holds exactly its own
+/// panels (k x n rounded up to whole panels), not a full cache block.
+/// Immutable once built: any number of threads may run gemm_packed on
+/// one PackedMatrix at once.
+class PackedMatrix {
+ public:
+  PackedMatrix() = default;  ///< empty; build one with pack_b()
+
+  std::size_t k() const { return k_; }  ///< inner dimension (rows of B)
+  std::size_t n() const { return n_; }  ///< output columns
+  std::size_t bytes() const { return panels_.size() * sizeof(float); }
+
+ private:
+  friend PackedMatrix pack_b(std::span<const float>, std::size_t,
+                             std::size_t, bool);
+  friend void gemm_packed(std::span<const float>, const PackedMatrix&,
+                          std::span<float>, std::size_t, bool);
+
+  std::size_t k_ = 0;
+  std::size_t n_ = 0;
+  std::vector<float> panels_;
+};
 
 /// Reference i-k-j triple loop (the pre-kernel `Tensor::matmul` body).
 /// Used by tests and bench_kernels to validate and time the blocked path.

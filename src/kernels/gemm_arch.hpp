@@ -13,32 +13,24 @@
 
 namespace cal::kernels {
 
-// Computes rows [i_begin, i_end) of C (+)= op(A)·op(B) where op transposes
-// when ta/tb is set; row-major with logical dims m x k x n and explicit
-// leading dimensions (row strides) so batched callers can point into a
-// larger buffer. lda strides the STORED A (m x k, or k x m when ta); same
-// for ldb/ldc.
-#define CAL_GEMM_ROWS_ARGS                                                  \
-  const float *a, const float *b, float *c, std::size_t m, std::size_t k,   \
-      std::size_t n, std::size_t lda, std::size_t ldb, std::size_t ldc,     \
-      bool ta, bool tb, bool accumulate, std::size_t i_begin,               \
-      std::size_t i_end
-
-// Packs the (p0, kc) x (j0, nc) block of op(B) into the panel layout the
-// micro-kernel consumes. `out` must hold GemmF32Ops::packed_b_floats.
+// Packs the (p0, kc) x (j0, nc) block of op(B) (k x n logical, stored
+// k x n or, when tb, n x k with row stride ldb) into the panel layout the
+// micro-kernel consumes: ceil(nc / panel_nr) panels of kc x panel_nr
+// floats, ragged columns zero-padded.
 #define CAL_GEMM_PACK_B_ARGS                                                \
-  const float *b, std::size_t k, std::size_t n, std::size_t ldb, bool tb,   \
-      std::size_t p0, std::size_t kc, std::size_t j0, std::size_t nc,       \
-      float *out
+  const float *b, std::size_t ldb, bool tb, std::size_t p0, std::size_t kc, \
+      std::size_t j0, std::size_t nc, float *out
 
-// Row-slice driver over ONE (j0, nc) x (p0, kc) block whose B panel was
-// already packed (shared across row-split tasks). `acc_block` is the
-// effective accumulate flag for this k block (accumulate || p0 > 0).
+// Rows [i_begin, i_end) of C (+)= op(A)·op(B) over ONE (j0, nc) x (p0, kc)
+// block whose B panel was already packed (shared across row-split tasks,
+// or part of a PackedMatrix). `acc_block` is the effective accumulate flag
+// for this k block (accumulate || p0 > 0). lda/ldc stride the stored A
+// (m x k, or k x m when ta) and C.
 #define CAL_GEMM_PREPACKED_ARGS                                             \
-  const float *a, const float *bpack, float *c, std::size_t m,              \
-      std::size_t k, std::size_t n, std::size_t lda, std::size_t ldc,       \
-      bool ta, bool acc_block, std::size_t p0, std::size_t kc,              \
-      std::size_t j0, std::size_t nc, std::size_t i_begin, std::size_t i_end
+  const float *a, const float *bpack, float *c, std::size_t lda,            \
+      std::size_t ldc, bool ta, bool acc_block, std::size_t p0,             \
+      std::size_t kc, std::size_t j0, std::size_t nc, std::size_t i_begin,  \
+      std::size_t i_end
 
 // Rows [i_begin, i_end) of the int8 GEMM: C[i,j] (+)= scale_a[i] *
 // scale_b[j] * sum_p A[i,p]·B[p,j] with an exact int32 inner product.
@@ -55,15 +47,14 @@ namespace cal::kernels {
   const std::int8_t *b, std::size_t k, std::size_t n, bool tb,              \
       std::int8_t *out
 
-/// Per-ISA fp32 entry points plus the blocking constants the shared-pack
-/// driver in gemm.cpp needs to size pool-owned scratch and iterate blocks.
+/// Per-ISA fp32 entry points plus the blocking constants the block loop
+/// in gemm.cpp needs to size packing scratch and lay out PackedMatrix.
 struct GemmF32Ops {
-  void (*gemm_rows)(CAL_GEMM_ROWS_ARGS);  ///< self-packing row driver
   void (*pack_b_block)(CAL_GEMM_PACK_B_ARGS);
   void (*gemm_rows_prepacked)(CAL_GEMM_PREPACKED_ARGS);
-  std::size_t block_kc;         ///< k-block size (kKC)
-  std::size_t block_nc;         ///< n-block size (kNC)
-  std::size_t packed_b_floats;  ///< capacity of one packed B block
+  std::size_t block_kc;  ///< k-block size (kKC)
+  std::size_t block_nc;  ///< n-block size (kNC), a multiple of panel_nr
+  std::size_t panel_nr;  ///< columns per packed B panel (kNR)
 };
 
 /// Per-ISA int8 entry points. packed_b_bytes sizes the packed image of the

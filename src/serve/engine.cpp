@@ -424,8 +424,8 @@ EngineSubmission ServeEngine::submit(
   }
   out.result = pending.promise.get_future();
   // Depth is reported by the push itself — a size() call here would take
-  // the queue mutex a second time per request just to label a trace event.
-  [[maybe_unused]] std::size_t depth_after = 0;
+  // the queue mutex a second time per request just to decide the wake-up.
+  std::size_t depth_after = 0;
   bool pushed = false;
   try {
     CAL_FAULT_POINT("serve.queue_push");
@@ -482,11 +482,21 @@ EngineSubmission ServeEngine::submit(
     out.result = ready_denial(Verdict::Accept);
     return out;
   }
+  // Wake a parked worker only for work that no running worker will come
+  // back for: the first request queued while none of this tenant's
+  // batches is in flight, or each full batch that piles up behind one.
+  // A worker re-scans every queue when its batch finishes, so requests
+  // that arrive meanwhile ride its next batch instead of each paying a
+  // wake-up. The generation still bumps on every push, so a worker on its
+  // way to park re-scans instead.
+  const TenantDeployment& dep = snapshot_->tenant(out.decision.shard);
+  const bool wake = depth_after % dep.lane.max_batch == 0 ||
+                    (depth_after == 1 && dep.busy_slots() == 0);
   {
     MutexLock wlock(work_mu_);
     ++work_gen_;
   }
-  work_cv_.notify_one();
+  if (wake) work_cv_.notify_one();
   (out.decision.status == RouteDecision::Status::Exact ? route_exact_
                                                        : route_fallback_)
       .fetch_add(1, std::memory_order_relaxed);
@@ -747,14 +757,6 @@ bool ServeEngine::try_claim(std::size_t& cursor, Claim& out) {
   return false;
 }
 
-void ServeEngine::signal_work() {
-  {
-    MutexLock lock(work_mu_);
-    ++work_gen_;
-  }
-  work_cv_.notify_all();
-}
-
 void ServeEngine::worker_loop(std::size_t worker_index) {
   // Private randomness stream for this worker (Rng is not shareable
   // across threads): deterministic in (cfg.seed, worker_index).
@@ -771,9 +773,9 @@ void ServeEngine::worker_loop(std::size_t worker_index) {
     Claim claim;
     if (try_claim(cursor, claim)) {
       process(claim, rng);
+      // No wake-up: this worker re-scans every queue next, and submit()
+      // wakes a sibling once a full batch is waiting (see there).
       claim.dep->release(claim.slot);
-      // The released slot may unblock a sibling that skipped this tenant.
-      signal_work();
       continue;
     }
     // Explicit predicate loop (not a wait-with-lambda): the analysis

@@ -27,6 +27,12 @@
 // claiming then bounds how long a quiet tenant's batch waits behind a
 // saturated one: at most one in-flight batch per pool worker.
 //
+// Wake-ups: a push notifies a parked worker only when none of its
+// tenant's batches is in flight or a full batch is waiting. Otherwise
+// the request joins the running worker's next batch — every worker
+// re-scans all queues when its batch finishes — so a fast model is not
+// paced by one thread wake-up per request.
+//
 // Hot reload (RCU over DeploymentSnapshot): deploy() swaps the snapshot
 // pointer mid-traffic. In-flight batches finish on the replicas they
 // checked out from the old snapshot (kept alive by their shared_ptr);
@@ -427,8 +433,6 @@ class ServeEngine {
       CAL_EXCLUDES(mu_, work_mu_);
   CAL_HOT_PATH
   void process(Claim& claim, Rng& rng);
-  CAL_HOT_PATH
-  void signal_work() CAL_EXCLUDES(work_mu_);
 
   EngineConfig cfg_;
 
@@ -444,8 +448,9 @@ class ServeEngine {
   std::atomic<bool> accepting_{true};
 
   /// Pool wake-up state. work_gen_ bumps on every event a parked worker
-  /// might care about (push, slot release, deploy, shutdown); waiting on
-  /// a generation makes lost wakeups impossible.
+  /// might care about (push, deploy, shutdown); waiting on a generation
+  /// makes lost wakeups impossible. Which pushes also notify a worker is
+  /// submit()'s policy.
   Mutex work_mu_;
   CondVar work_cv_;
   std::uint64_t work_gen_ CAL_GUARDED_BY(work_mu_) = 0;

@@ -26,15 +26,8 @@ double anchor_distance(const Tensor& anchors,
              "fingerprint has " << fingerprint.size()
                                 << " APs, anchors expect " << anchors.cols());
   double best = std::numeric_limits<double>::infinity();
-  for (std::size_t m = 0; m < anchors.rows(); ++m) {
-    const auto row = anchors.row(m);
-    double sq = 0.0;
-    for (std::size_t j = 0; j < row.size(); ++j) {
-      const double d = static_cast<double>(fingerprint[j]) - row[j];
-      sq += d * d;
-    }
-    best = std::min(best, sq);
-  }
+  for (std::size_t m = 0; m < anchors.rows(); ++m)
+    best = std::min(best, squared_distance(fingerprint, anchors.row(m)));
   return std::sqrt(best / static_cast<double>(anchors.cols()));
 }
 

@@ -17,18 +17,31 @@ namespace {
 /// scan bit for bit.
 constexpr double kBoundSlack = 1e-9;
 
-double row_sq_distance(std::span<const float> fp, std::span<const float> row) {
-  // Same accumulation order as serve::anchor_distance — the pruned search
-  // must return the identical double.
-  double sq = 0.0;
-  for (std::size_t j = 0; j < row.size(); ++j) {
-    const double d = static_cast<double>(fp[j]) - row[j];
-    sq += d * d;
-  }
-  return sq;
-}
-
 }  // namespace
+
+double squared_distance(std::span<const float> fingerprint,
+                        std::span<const float> anchor) {
+  // kLanes independent partial sums (element j feeds sum j % kLanes) break
+  // the add-latency chain a single accumulator forms; the compiler keeps
+  // them in vector registers (4 x 2-lane doubles at the SSE2 baseline).
+  // The split and the final combining order are fixed, so every caller
+  // gets the identical double for the same inputs.
+  constexpr std::size_t kLanes = 8;
+  double part[kLanes] = {};
+  const std::size_t n = anchor.size();
+  const std::size_t body = n - n % kLanes;
+  for (std::size_t j = 0; j < body; j += kLanes)
+    for (std::size_t l = 0; l < kLanes; ++l) {
+      const double d = static_cast<double>(fingerprint[j + l]) - anchor[j + l];
+      part[l] += d * d;
+    }
+  for (std::size_t j = body; j < n; ++j) {
+    const double d = static_cast<double>(fingerprint[j]) - anchor[j];
+    part[j - body] += d * d;
+  }
+  return ((part[0] + part[4]) + (part[1] + part[5])) +
+         ((part[2] + part[6]) + (part[3] + part[7]));
+}
 
 ShardIndex::ShardIndex(Tensor anchors) : anchors_(std::move(anchors)) {
   CAL_ENSURE(anchors_.rank() == 2 && anchors_.rows() > 0,
@@ -110,7 +123,8 @@ double ShardIndex::nearest(std::span<const float> fingerprint,
       left_open = left > 0;
     else
       right_open = right < m;
-    const double sq = row_sq_distance(fingerprint, anchors_.row(order_[pos]));
+    const double sq =
+        squared_distance(fingerprint, anchors_.row(order_[pos]));
     ++scanned;
     if (sq < best_sq) {
       best_sq = sq;

@@ -31,6 +31,14 @@
 
 namespace cal::serve {
 
+/// Squared Euclidean distance between a fingerprint and one anchor row,
+/// summed in double. ShardIndex::nearest and serve::anchor_distance both
+/// use it, so the pruned search and screening calibration return the
+/// identical double.
+CAL_HOT_PATH CAL_NONBLOCKING CAL_NOALLOC
+double squared_distance(std::span<const float> fingerprint,
+                        std::span<const float> anchor);
+
 /// Per-query work counters (filled by ShardIndex::nearest).
 struct ShardIndexProbe {
   std::size_t scanned = 0;  ///< anchors whose full distance was computed

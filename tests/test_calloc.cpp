@@ -151,26 +151,23 @@ TEST(Calloc, WeightPersistenceRoundTrip) {
   EXPECT_THROW(unfitted.save_weights("/tmp/nope.bin"), PreconditionError);
 }
 
-// The query half run against constant copies of the anchor keys must
-// reproduce forward()'s logits byte for byte, and predict() (which reads
-// the keys Calloc froze at fit/load time) must agree with the full
-// autograd forward on every row.
+// The frozen query half Calloc built at fit/load time (logits(), what
+// predict() runs) must reproduce forward()'s logits byte for byte, and
+// predict() must agree with the full autograd forward on every row.
+// Batches of 1-7 rows cover every small-row GEMM tail height.
 void expect_predict_matches_forward(Calloc& calloc_model) {
   CallocModel& m = calloc_model.model();
-  const AnchorKeys live = m.anchor_keys();
-  const AnchorKeys frozen{autograd::constant(live.center->value()),
-                          autograd::constant(live.keys->value())};
   const Tensor pool = scenario().train.normalized();
-  for (const std::size_t rows : {1u, 7u, 32u}) {
+  for (const std::size_t rows : {1u, 2u, 3u, 4u, 5u, 6u, 7u, 32u}) {
     SCOPED_TRACE("batch of " + std::to_string(rows));
     ASSERT_GE(pool.rows(), rows);
     std::vector<std::size_t> idx(rows);
     std::iota(idx.begin(), idx.end(), 0);
     const Tensor x = nn::gather_rows(pool, idx);
     const Tensor full = nn::predict_tensor(m, x);
-    const Tensor half = m.forward(autograd::constant(x), frozen)->value();
-    ASSERT_TRUE(half.same_shape(full));
-    EXPECT_EQ(std::memcmp(half.data(), full.data(),
+    const Tensor served = calloc_model.logits(x);
+    ASSERT_TRUE(served.same_shape(full));
+    EXPECT_EQ(std::memcmp(served.data(), full.data(),
                           full.size() * sizeof(float)),
               0);
     EXPECT_EQ(calloc_model.predict(x), autograd::argmax_rows(full));

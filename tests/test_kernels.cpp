@@ -1,12 +1,15 @@
 // cal_kernels correctness: the blocked/register-tiled gemm_nn/nt/tn must
 // match the naive triple-loop reference over odd and ragged shapes, honour
 // the accumulate flag, propagate NaN/Inf per IEEE 754 (no zero-skip), and
-// be bit-identical for every thread count.
+// be bit-identical for every thread count; gemm_packed on a pack_b operand
+// must return gemm_nn's (gemm_nt's) exact bits.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
+#include <numeric>
 #include <thread>
 #include <vector>
 
@@ -50,6 +53,22 @@ void expect_close(const Tensor& got, const Tensor& want, const Shape& s,
       << variant << " mismatch at " << s.m << "x" << s.k << "x" << s.n;
 }
 
+/// Byte equality: NaN payloads and signed zeros included.
+bool same_bits(const Tensor& a, const Tensor& b) {
+  return a.same_shape(b) &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
+/// gemm_packed over pack_b(b): b is k x n, or n x k when `transposed`.
+Tensor packed_product(const Tensor& a, const Tensor& b, const Shape& s,
+                      bool transposed, const Tensor* base = nullptr) {
+  const kernels::PackedMatrix pb = kernels::pack_b(b.flat(), s.k, s.n,
+                                                   transposed);
+  Tensor c = base != nullptr ? *base : Tensor({s.m, s.n});
+  kernels::gemm_packed(a.flat(), pb, c.flat(), s.m, base != nullptr);
+  return c;
+}
+
 TEST(Kernels, GemmNnMatchesNaiveAcrossShapes) {
   for (const auto& s : kShapes) {
     const Tensor a = random_mat(s.m * 1000 + s.k, s.m, s.k);
@@ -59,6 +78,8 @@ TEST(Kernels, GemmNnMatchesNaiveAcrossShapes) {
     Tensor got({s.m, s.n});
     kernels::gemm_nn(a.flat(), b.flat(), got.flat(), s.m, s.k, s.n);
     expect_close(got, want, s, "gemm_nn");
+    EXPECT_TRUE(same_bits(packed_product(a, b, s, false), got))
+        << "gemm_packed != gemm_nn at " << s.m << "x" << s.k << "x" << s.n;
   }
 }
 
@@ -72,6 +93,8 @@ TEST(Kernels, GemmNtMatchesNaiveAcrossShapes) {
     Tensor got({s.m, s.n});
     kernels::gemm_nt(a.flat(), b.flat(), got.flat(), s.m, s.k, s.n);
     expect_close(got, want, s, "gemm_nt");
+    EXPECT_TRUE(same_bits(packed_product(a, b, s, true), got))
+        << "gemm_packed != gemm_nt at " << s.m << "x" << s.k << "x" << s.n;
   }
 }
 
@@ -101,12 +124,17 @@ TEST(Kernels, AccumulateAddsOntoExistingOutput) {
   kernels::gemm_nn(a.flat(), b.flat(), got.flat(), s.m, s.k, s.n,
                    /*accumulate=*/true);
   expect_close(got, want, s, "gemm_nn(accumulate)");
+  EXPECT_TRUE(same_bits(packed_product(a, b, s, false, &base), got));
   // And without the flag the prior contents must be overwritten.
   Tensor fresh({s.m, s.n});
   kernels::gemm_naive(a.flat(), b.flat(), fresh.flat(), s.m, s.k, s.n);
   Tensor over = base;
   kernels::gemm_nn(a.flat(), b.flat(), over.flat(), s.m, s.k, s.n);
   expect_close(over, fresh, s, "gemm_nn(overwrite)");
+  const kernels::PackedMatrix pb = kernels::pack_b(b.flat(), s.k, s.n);
+  Tensor packed_over = base;
+  kernels::gemm_packed(a.flat(), pb, packed_over.flat(), s.m);
+  EXPECT_TRUE(same_bits(packed_over, over));
 }
 
 // The contract carried over from Tensor::matmul: no zero-skip branch, so a
@@ -125,6 +153,17 @@ TEST(Kernels, BlockedPathPropagatesNanAndInf) {
     EXPECT_TRUE(std::isnan(c.at(4, j))) << "NaN row lost at col " << j;
     EXPECT_EQ(c.at(3, j), 0.0F);
   }
+  EXPECT_TRUE(same_bits(packed_product(a, b, {m, k, n}, false), c));
+  // 1- and 5-row operands: every row takes the small-row tail kernel.
+  for (const std::size_t rows : {1u, 5u}) {
+    Tensor a_tail({rows, k}, 1.0F);
+    a_tail.at(rows - 1, 7) = nan;
+    const Tensor c_tail = packed_product(a_tail, b, {rows, k, n}, false);
+    for (std::size_t j = 0; j < n; ++j) {
+      EXPECT_TRUE(std::isnan(c_tail.at(rows - 1, j)));
+      if (rows > 1) EXPECT_EQ(c_tail.at(0, j), 0.0F);
+    }
+  }
 
   // Inf in A against an all-zero B row: Inf·0 must yield NaN, not 0.
   Tensor a2({m, k}, 1.0F);
@@ -133,6 +172,7 @@ TEST(Kernels, BlockedPathPropagatesNanAndInf) {
   kernels::gemm_nn(a2.flat(), b.flat(), c2.flat(), m, k, n);
   for (std::size_t j = 0; j < n; ++j)
     EXPECT_TRUE(std::isnan(c2.at(2, j))) << "Inf·0 masked at col " << j;
+  EXPECT_TRUE(same_bits(packed_product(a2, b, {m, k, n}, false), c2));
 
   // Inf against positive B propagates Inf through the row sums.
   Tensor b3({k, n}, 1.0F);
@@ -148,6 +188,7 @@ TEST(Kernels, BlockedPathPropagatesNanAndInf) {
   kernels::gemm_nt(a.flat(), bt.flat(), cnt.flat(), m, k, n);
   for (std::size_t j = 0; j < n; ++j)
     EXPECT_TRUE(std::isnan(cnt.at(4, j)));
+  EXPECT_TRUE(same_bits(packed_product(a, bt, {m, k, n}, true), cnt));
   Tensor atn({k, m}, 1.0F);
   atn.at(7, 4) = nan;
   Tensor ctn({m, n});
@@ -167,9 +208,68 @@ TEST(Kernels, ThreadedSplitIsBitIdenticalToSerial) {
   kernels::set_max_threads(4);
   Tensor threaded({s.m, s.n});
   kernels::gemm_nn(a.flat(), b.flat(), threaded.flat(), s.m, s.k, s.n);
+  const Tensor packed_threaded = packed_product(a, b, s, false);
   kernels::set_max_threads(1);
   for (std::size_t i = 0; i < serial.size(); ++i)
     ASSERT_EQ(serial[i], threaded[i]) << "thread split changed bits at " << i;
+  EXPECT_TRUE(same_bits(packed_threaded, serial));
+}
+
+// Pre-packed B must give gemm_nn's / gemm_nt's exact bits on every
+// small-row tail height (m = 1-13 covers tails 1-5 behind 0, 1 and 2 full
+// tiles), across the 256-wide k block (257, 520) and panel and 512-wide
+// column-block edges, serial and split over the pool.
+TEST(Kernels, GemmPackedIsBitIdenticalToUnpacked) {
+  std::vector<std::size_t> ms(13);
+  std::iota(ms.begin(), ms.end(), 1);
+  ms.push_back(32);
+  for (const std::size_t threads : {1u, 4u}) {
+    kernels::set_max_threads(threads);
+    for (const std::size_t m : ms)
+      for (const std::size_t k : {1u, 64u, 218u, 257u, 520u})
+        for (const std::size_t n : {1u, 15u, 17u, 61u, 128u, 513u}) {
+          const Shape s{m, k, n};
+          const Tensor a = random_mat(m * 7919 + k, m, k);
+          const Tensor b = random_mat(k * 104729 + n, k, n);  // or n x k
+          Tensor nn({m, n});
+          kernels::gemm_nn(a.flat(), b.flat(), nn.flat(), m, k, n);
+          Tensor nt({m, n});
+          kernels::gemm_nt(a.flat(), b.flat(), nt.flat(), m, k, n);
+          ASSERT_TRUE(same_bits(packed_product(a, b, s, false), nn))
+              << "nn " << m << "x" << k << "x" << n << ", " << threads
+              << " threads";
+          ASSERT_TRUE(same_bits(packed_product(a, b, s, true), nt))
+              << "nt " << m << "x" << k << "x" << n << ", " << threads
+              << " threads";
+          if (threads == 1 && k == 257) {
+            Tensor want({m, n});
+            kernels::gemm_naive(a.flat(), b.flat(), want.flat(), m, k, n);
+            expect_close(nn, want, s, "gemm_nn small rows");
+          }
+        }
+  }
+  kernels::set_max_threads(1);
+}
+
+// Rows past the last full 6-row tile take the small-row kernel; inside a
+// full tile the same row must come out with the same bits, since both
+// give each element the same ascending-k operation sequence.
+TEST(Kernels, SmallRowTailMatchesFullTileBits) {
+  for (const std::size_t k : {5u, 218u, 300u})
+    for (const std::size_t n : {1u, 17u, 128u}) {
+      const Tensor tile = random_mat(k * 31 + n, 6, k);
+      const Tensor b = random_mat(k * 17 + n, k, n);
+      Tensor full({6, n});
+      kernels::gemm_nn(tile.flat(), b.flat(), full.flat(), 6, k, n);
+      for (std::size_t m = 1; m < 6; ++m) {
+        Tensor c({m, n});
+        kernels::gemm_nn(tile.flat().first(m * k), b.flat(), c.flat(), m, k,
+                         n);
+        EXPECT_EQ(std::memcmp(c.data(), full.data(), m * n * sizeof(float)),
+                  0)
+            << m << " tail rows, k " << k << ", n " << n;
+      }
+    }
 }
 
 TEST(Kernels, ConcurrentCallersWithThreadsEnabledStayCorrect) {
@@ -211,6 +311,18 @@ TEST(Kernels, RejectsMissizedSpans) {
       PreconditionError);
   EXPECT_THROW(kernels::gemm_nn(a.flat(), b.flat(), c.flat(), 0, 3, 5),
                PreconditionError);
+
+  // Pre-packed operand: pack_b checks B, gemm_packed checks A, C and m.
+  EXPECT_THROW(kernels::pack_b(b.flat(), 3, 4), PreconditionError);
+  const kernels::PackedMatrix pb = kernels::pack_b(b.flat(), 3, 5);
+  EXPECT_EQ(pb.k(), 3u);
+  EXPECT_EQ(pb.n(), 5u);
+  EXPECT_THROW(kernels::gemm_packed(a.flat(), pb, c.flat(), 5),
+               PreconditionError);
+  EXPECT_THROW(kernels::gemm_packed(a.flat(), kernels::PackedMatrix{},
+                                    c.flat(), 4),
+               PreconditionError);
+  EXPECT_NO_THROW(kernels::gemm_packed(a.flat(), pb, c.flat(), 4));
 }
 
 // --- batched / strided -----------------------------------------------------

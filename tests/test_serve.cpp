@@ -545,35 +545,44 @@ TEST(Service, ValidatesInputsAndShutdownIsFinal) {
 TEST(ShardIndex, PrunedNearestMatchesFullScanBitForBit) {
   // Clustered anchors (the shape real per-RP fingerprints have): the
   // centroid bound must prune without ever changing the returned minimum.
-  Rng rng(17);
-  const std::size_t dim = 12;
-  const std::size_t per_cluster = 20;
-  Tensor anchors({3 * per_cluster, dim});
-  const float centers[3] = {0.2F, 0.5F, 0.8F};
-  for (std::size_t c = 0; c < 3; ++c)
-    for (std::size_t i = 0; i < per_cluster; ++i) {
-      auto row = anchors.row(c * per_cluster + i);
-      for (auto& v : row)
-        v = centers[c] + static_cast<float>(rng.normal(0.0, 0.02));
-    }
-  const ShardIndex index(anchors);
-  ASSERT_EQ(index.num_anchors(), 3 * per_cluster);
+  // 218 APs (Building 5) also runs the distance's 8-wide body with a
+  // 2-element remainder; 12 is one body pass plus 4. At 218 APs uniform
+  // queries sit about equally far from every anchor and nothing prunes,
+  // so those queries scatter around the clusters instead.
+  for (const std::size_t dim : {12u, 218u}) {
+    SCOPED_TRACE("dim " + std::to_string(dim));
+    Rng rng(17);
+    const std::size_t per_cluster = 20;
+    Tensor anchors({3 * per_cluster, dim});
+    const float centers[3] = {0.2F, 0.5F, 0.8F};
+    for (std::size_t c = 0; c < 3; ++c)
+      for (std::size_t i = 0; i < per_cluster; ++i) {
+        auto row = anchors.row(c * per_cluster + i);
+        for (auto& v : row)
+          v = centers[c] + static_cast<float>(rng.normal(0.0, 0.02));
+      }
+    const ShardIndex index(anchors);
+    ASSERT_EQ(index.num_anchors(), 3 * per_cluster);
 
-  std::size_t scanned_total = 0;
-  const std::size_t kQueries = 200;
-  for (std::size_t q = 0; q < kQueries; ++q) {
-    std::vector<float> fp(dim);
-    for (auto& v : fp) v = static_cast<float>(rng.uniform(0.0, 1.0));
-    ShardIndexProbe probe;
-    const double got = index.nearest(fp, &probe);
-    const double want = anchor_distance(anchors, fp);
-    EXPECT_DOUBLE_EQ(got, want) << "query " << q;
-    EXPECT_EQ(probe.scanned + probe.pruned, index.num_anchors());
-    EXPECT_GE(probe.scanned, 1u);
-    scanned_total += probe.scanned;
+    std::size_t scanned_total = 0;
+    const std::size_t kQueries = 200;
+    for (std::size_t q = 0; q < kQueries; ++q) {
+      std::vector<float> fp(dim);
+      for (auto& v : fp)
+        v = dim == 12u ? static_cast<float>(rng.uniform(0.0, 1.0))
+                       : centers[q % 3] +
+                             static_cast<float>(rng.normal(0.0, 0.05));
+      ShardIndexProbe probe;
+      const double got = index.nearest(fp, &probe);
+      const double want = anchor_distance(anchors, fp);
+      EXPECT_EQ(got, want) << "query " << q;
+      EXPECT_EQ(probe.scanned + probe.pruned, index.num_anchors());
+      EXPECT_GE(probe.scanned, 1u);
+      scanned_total += probe.scanned;
+    }
+    EXPECT_LT(scanned_total, kQueries * index.num_anchors())
+        << "the centroid bound should prune at least some anchors";
   }
-  EXPECT_LT(scanned_total, kQueries * index.num_anchors())
-      << "the centroid bound should prune at least some anchors";
 }
 
 TEST(ShardIndex, EdgeCasesAndValidation) {
@@ -1074,6 +1083,31 @@ class GateLocalizer : public baselines::ILocalizer {
   std::atomic<bool> entered_fired_{false};
 };
 
+/// predict() blocks until the gate opens on the first call made on any
+/// replica sharing `first`; every later call returns at once. Pins one
+/// worker inside a batch while the tenant's other slots stay usable.
+class FirstCallGateLocalizer : public baselines::ILocalizer {
+ public:
+  FirstCallGateLocalizer(std::shared_future<void> gate,
+                         std::shared_ptr<std::atomic<bool>> first,
+                         std::promise<void>* entered)
+      : gate_(std::move(gate)), first_(std::move(first)), entered_(entered) {}
+  void fit(const data::FingerprintDataset&) override {}
+  std::vector<std::size_t> predict(const Tensor& x) override {
+    if (first_->exchange(false)) {
+      entered_->set_value();
+      gate_.wait();
+    }
+    return std::vector<std::size_t>(x.rows(), 7);
+  }
+  std::string name() const override { return "FirstCallGate"; }
+
+ private:
+  std::shared_future<void> gate_;
+  std::shared_ptr<std::atomic<bool>> first_;
+  std::promise<void>* entered_;
+};
+
 constexpr std::size_t kTinyAps = 4;
 const std::vector<float>& tiny_fp() {
   static const std::vector<float> fp{0.1F, 0.2F, 0.3F, 0.4F};
@@ -1445,6 +1479,60 @@ TEST(Engine, PublishWhileQueueNonEmptyServesQueuedOnNewSnapshot) {
   EXPECT_EQ(stats.deploys, 1u);
   EXPECT_EQ(stats.reload_flushes, 1u);
   EXPECT_EQ(stats.per_tenant[0].stats.completed, 3u);
+}
+
+// Wake-up policy: requests queued behind one of their tenant's in-flight
+// batches wake no worker until a full batch is waiting. That full batch
+// wakes the parked worker, which serves it on the tenant's free slot
+// while the first batch is still running; a single request queued behind
+// the pinned batch is served once that batch finishes.
+TEST(Engine, FullBatchBehindAnInFlightBatchWakesAParkedWorker) {
+  std::promise<void> open_gate;
+  std::promise<void> entered;
+  const std::shared_future<void> gate = open_gate.get_future().share();
+  const auto first = std::make_shared<std::atomic<bool>>(true);
+
+  ModelRegistry reg;
+  TenantSpec spec;
+  spec.factory = [&] {
+    return std::make_unique<FirstCallGateLocalizer>(gate, first, &entered);
+  };
+  spec.num_aps = kTinyAps;
+  spec.service.num_workers = 2;
+  spec.service.max_batch = 4;
+  spec.service.queue_capacity = 8;
+  reg.register_tenant({"venue", 0, ""}, std::move(spec));
+  EngineConfig cfg;
+  cfg.pool_size = 2;
+  ServeEngine engine(reg.publish(), cfg);
+  const TenantKey key{"venue", 0, ""};
+
+  auto pinned = engine.submit(key, tiny_fp());
+  ASSERT_EQ(pinned.admission, Admission::Accepted);
+  entered.get_future().wait();  // one worker is inside predict()
+
+  // EXPECT only until the gate opens: an early return would leave the
+  // pinned worker blocked and hang shutdown.
+  std::vector<EngineSubmission> full_batch;
+  for (std::size_t i = 0; i < 4; ++i)
+    full_batch.push_back(engine.submit(key, tiny_fp()));
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  for (auto& sub : full_batch) {
+    EXPECT_EQ(sub.admission, Admission::Accepted);
+    EXPECT_EQ(sub.result.wait_until(deadline), std::future_status::ready);
+  }
+  auto behind = engine.submit(key, tiny_fp());
+  EXPECT_EQ(behind.admission, Admission::Accepted);
+
+  open_gate.set_value();
+  EXPECT_EQ(pinned.result.get().rp, 7u);
+  EXPECT_EQ(behind.result.get().rp, 7u);
+  for (auto& sub : full_batch)
+    if (sub.result.valid()) EXPECT_EQ(sub.result.get().rp, 7u);
+  engine.shutdown();
+  expect_reconciled(engine);
+  EXPECT_EQ(engine.stats().per_tenant[0].stats.completed, 6u);
 }
 
 TEST(Engine, IdenticalRepublishIsNoOpFlushWise) {
