@@ -201,7 +201,6 @@ struct PoolMetricsState {
   std::size_t parallel_gemms CAL_GUARDED_BY(mu) = 0;
   std::size_t serial_fallbacks CAL_GUARDED_BY(mu) = 0;
   std::size_t tasks CAL_GUARDED_BY(mu) = 0;
-  std::size_t shared_b_packs CAL_GUARDED_BY(mu) = 0;
   obs::Histogram task_ms CAL_GUARDED_BY(mu);
 };
 
@@ -216,11 +215,10 @@ void note_serial_fallback() {
   ++pm.serial_fallbacks;
 }
 
-void note_parallel_gemm(std::size_t shared_packs) {
+void note_parallel_gemm() {
   PoolMetricsState& pm = pool_metrics_state();
   MutexLock lk(pm.mu);
   ++pm.parallel_gemms;
-  pm.shared_b_packs += shared_packs;
 }
 
 // Wrap a pool task with wall-time telemetry. This is the GEMM pool task
@@ -363,10 +361,8 @@ void gemm_impl(const float* a, const Rhs& rhs, float* c, std::size_t m,
       // read pre-packed) and every row task reads the same panels. Same
       // block order and per-element reduction order as the serial path,
       // so the result is bit-identical to gemm_rows over [0, m).
-      std::size_t packs = 0;
       for_each_block(ops, k, n, accumulate, [&](const Block& blk) {
         const float* panels = block_panels(ops, rhs, k, blk, scratch);
-        packs += rhs.packed == nullptr ? 1 : 0;
         pool().run(tasks, [&](std::size_t t) {
           timed_task([&] {
             const std::size_t i_begin = t * chunk;
@@ -376,7 +372,7 @@ void gemm_impl(const float* a, const Rhs& rhs, float* c, std::size_t m,
           });
         });
       });
-      note_parallel_gemm(packs);
+      note_parallel_gemm();
       return;
     }
     note_serial_fallback();
@@ -495,7 +491,7 @@ void gemm_batched_impl(const float* a, const float* b, float* c,
       const std::size_t per_item = (want + batch - 1) / batch;
       const std::size_t chunk = row_chunk(m, kMR, per_item);
       const std::size_t chunks = (m + chunk - 1) / chunk;
-      note_parallel_gemm(0);
+      note_parallel_gemm();
       pool().run(batch * chunks, [&](std::size_t t) {
         timed_task([&] {
           const std::size_t e = t / chunks;
@@ -559,7 +555,7 @@ void gemm_s8_impl(const std::int8_t* a, const std::int8_t* b, float* c,
       const std::size_t want = std::min(mt, pool().workers() + 1);
       const std::size_t chunk = row_chunk(m, kMRs8, want);
       const std::size_t tasks = (m + chunk - 1) / chunk;
-      note_parallel_gemm(1);
+      note_parallel_gemm();
       pool().run(tasks, [&](std::size_t t) {
         timed_task([&] {
           const std::size_t i_begin = t * chunk;
@@ -727,7 +723,6 @@ PoolMetrics pool_metrics() {
   out.parallel_gemms = s.parallel_gemms;
   out.serial_fallbacks = s.serial_fallbacks;
   out.tasks = s.tasks;
-  out.shared_b_packs = s.shared_b_packs;
   out.task_ms = s.task_ms;
   return out;
 }

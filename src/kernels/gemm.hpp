@@ -209,7 +209,6 @@ struct PoolMetrics {
   std::size_t parallel_gemms = 0;   ///< GEMMs run through the pool
   std::size_t serial_fallbacks = 0; ///< pool busy: ran serial instead
   std::size_t tasks = 0;            ///< row-block tasks executed
-  std::size_t shared_b_packs = 0;   ///< B panels packed once, shared by tasks
   obs::Histogram task_ms;           ///< per-task wall time, milliseconds
 };
 

@@ -9,10 +9,10 @@
 // log line (plus optional per-event lines) so an operator tailing stderr
 // sees WHAT tripped and the timeline that led up to it.
 //
-// Engine wiring (serve/engine.cpp) trips on: per-tenant p99 breach,
-// queue-full bursts, drift-triggered cache flushes, and (optionally)
-// deploys — see ObsConfig. Trips are rate-limited: a p99 breach that
-// stays breached must not turn the log into a firehose.
+// Engine wiring (serve/engine.cpp) trips on: replica slot quarantine
+// (always) and deploys (optionally) — see ObsConfig. Trips are
+// rate-limited: a replica that keeps faulting must not turn the log into
+// a firehose.
 #pragma once
 
 #include <cstdint>

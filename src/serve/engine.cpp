@@ -290,7 +290,6 @@ void ServeEngine::configure_state(TenantState& st,
                                   const TenantDeployment& dep) {
   st.version = dep.version;
   st.num_aps = dep.num_aps;
-  st.lane = dep.lane;
   // RCU-replace the cache and drift monitor rather than mutating them: a
   // worker mid-batch on the retiring deployment holds shared_ptr copies
   // and finishes against those, while all new traffic sees the fresh
@@ -402,13 +401,6 @@ EngineSubmission ServeEngine::submit(
   // Count before the push: a worker may complete the request the instant
   // it lands, and `completed` must never be observed above `submitted`.
   state.stats.add(&ServiceStats::submitted);
-  {
-    // Pool bookkeeping BEFORE the push: once an item is visible in a
-    // queue, pending_ already covers it, so a draining pool can never
-    // observe "all served" while a just-pushed request is stranded.
-    MutexLock wlock(work_mu_);
-    ++pending_;
-  }
   Pending pending;
   pending.fingerprint = std::move(fingerprint_normalized);
   // The admission timestamp, taken post-quota: latency_ms bills queueing
@@ -437,12 +429,6 @@ EngineSubmission ServeEngine::submit(
     // the engine exactly as if the submission never happened.
     state.stats.add(&ServiceStats::submitted, -1);
     state.bucket.refund();
-    {
-      MutexLock wlock(work_mu_);
-      --pending_;
-      ++work_gen_;
-    }
-    work_cv_.notify_all();
     throw;
   }
   if (!pushed) {
@@ -450,12 +436,6 @@ EngineSubmission ServeEngine::submit(
     // The consumed token must not bill a request that was never
     // admitted — QueueFull shedding is not quota usage.
     state.bucket.refund();
-    {
-      MutexLock wlock(work_mu_);
-      --pending_;
-      ++work_gen_;  // a parked drain may be waiting on pending_ to settle
-    }
-    work_cv_.notify_all();
     // try_push fails for a full queue or a closed one; the queues close
     // only inside shutdown() (after accepting_ flips), so re-reading the
     // flag disambiguates. shutdown() closes under the queue's own mutex,
@@ -466,18 +446,6 @@ EngineSubmission ServeEngine::submit(
     CAL_TRACE_EVENT(obs::EventType::Deny, state.trace_tenant,
                     snapshot_->epoch(), 0,
                     static_cast<double>(Admission::QueueFull));
-    // A sustained run of queue-full denials on one tenant is the classic
-    // "who is flooding whom" incident — freeze the timeline that led in.
-    const std::size_t streak =
-        state.queue_full_streak.fetch_add(1, std::memory_order_relaxed) + 1;
-    if (cfg_.obs.queue_full_burst > 0 &&
-        streak >= cfg_.obs.queue_full_burst) {
-      state.queue_full_streak.store(0, std::memory_order_relaxed);
-      recorder_.trip("queue_full_burst",
-                     {{"tenant", state.key.str()},
-                      {"streak", streak},
-                      {"queue_capacity", state.lane.queue_capacity}});
-    }
     out.admission = Admission::QueueFull;
     out.result = ready_denial(Verdict::Accept);
     return out;
@@ -500,7 +468,6 @@ EngineSubmission ServeEngine::submit(
   (out.decision.status == RouteDecision::Status::Exact ? route_exact_
                                                        : route_fallback_)
       .fetch_add(1, std::memory_order_relaxed);
-  state.queue_full_streak.store(0, std::memory_order_relaxed);
   CAL_TRACE_EVENT(obs::EventType::Admit, state.trace_tenant,
                   snapshot_->epoch(), 0,
                   static_cast<double>(out.decision.status));
@@ -517,8 +484,8 @@ EngineSubmission ServeEngine::submit_blocking(
   // Exponential backoff (100us -> ~6.4ms) keeps a producer blocked on a
   // saturated tenant from spinning the admission path hot; precise
   // condvar backpressure is deliberately NOT rebuilt here — this wrapper
-  // exists for the deprecated shims and drive loops, and overload-aware
-  // callers should handle the typed denials themselves.
+  // exists for drive loops, and overload-aware callers should handle the
+  // typed denials themselves.
   auto backoff = std::chrono::microseconds(100);
   constexpr auto kMaxBackoff = std::chrono::microseconds(6400);
   for (;;) {
@@ -535,27 +502,26 @@ EngineSubmission ServeEngine::submit_blocking(
   }
 }
 
+void ServeEngine::fail_all(std::vector<Pending>& reqs, ServeStatus status,
+                           Verdict verdict) {
+  ServeResult res;
+  res.localized = false;
+  res.status = status;
+  res.verdict = verdict;
+  for (Pending& p : reqs) p.promise.set_value(res);
+}
+
 std::size_t ServeEngine::drop_queue(TenantState& st, ServeStatus status) {
-  std::size_t n = 0;
-  for (;;) {
-    auto batch = st.q.try_pop_batch(64);
-    if (batch.empty()) return n;
-    // The tenant vanished / changed width under the requests (Dropped) or
-    // the engine is stopping (ShutDown): move their admissions from
-    // `submitted` to `shed` — they were never served — then fail each
-    // with its typed terminal status.
-    const auto k = static_cast<std::ptrdiff_t>(batch.size());
-    st.stats.add(&ServiceStats::submitted, -k);
-    st.stats.add(&ServiceStats::shed, k);
-    for (Pending& p : batch) {
-      ServeResult res;
-      res.localized = false;
-      res.status = status;
-      res.verdict = Verdict::Reject;
-      p.promise.set_value(res);
-    }
-    n += batch.size();
-  }
+  auto dropped = st.q.drain_if([](const Pending&) { return true; });
+  // The tenant vanished / changed width under the requests (Dropped) or
+  // the engine is stopping (ShutDown): move their admissions from
+  // `submitted` to `shed` — they were never served — then fail each with
+  // its typed terminal status.
+  const auto k = static_cast<std::ptrdiff_t>(dropped.size());
+  st.stats.add(&ServiceStats::submitted, -k);
+  st.stats.add(&ServiceStats::shed, k);
+  fail_all(dropped, status, Verdict::Reject);
+  return dropped.size();
 }
 
 void ServeEngine::deploy(std::shared_ptr<const DeploymentSnapshot> snapshot) {
@@ -569,9 +535,9 @@ void ServeEngine::deploy(std::shared_ptr<const DeploymentSnapshot> snapshot) {
   {
     WriterMutexLock lock(mu_);
     // Re-check under the exclusive lock: a concurrent shutdown() closes
-    // every queue under a SHARED lock, so once we hold the exclusive one
-    // either its sweep already covered the current states (and this
-    // throw fires) or it will run after us and cover the new ones.
+    // every queue under this same lock, so once we hold it either its
+    // sweep already covered the current states (and this throw fires) or
+    // it will run after us and cover the new ones.
     CAL_ENSURE(accepting_.load(std::memory_order_acquire),
                "deploy() after engine shutdown");
     std::unordered_map<TenantKey, std::shared_ptr<TenantState>, TenantKeyHash>
@@ -612,7 +578,6 @@ void ServeEngine::deploy(std::shared_ptr<const DeploymentSnapshot> snapshot) {
   deploys_.fetch_add(1, std::memory_order_relaxed);
   {
     MutexLock wlock(work_mu_);
-    pending_ -= static_cast<std::int64_t>(dropped);
     ++work_gen_;
   }
   work_cv_.notify_all();
@@ -629,7 +594,6 @@ void ServeEngine::deploy(std::shared_ptr<const DeploymentSnapshot> snapshot) {
 void ServeEngine::shutdown() {
   std::call_once(shutdown_once_, [this] {
     accepting_.store(false, std::memory_order_release);
-    std::size_t dropped = 0;
     {
       // Exclusive lock: in-flight submits hold the shared lock for their
       // whole push, so once we hold this, every accepted request is
@@ -643,12 +607,11 @@ void ServeEngine::shutdown() {
       WriterMutexLock lock(mu_);
       for (const auto& state : order_) {
         state->q.close();
-        dropped += drop_queue(*state, ServeStatus::ShutDown);
+        drop_queue(*state, ServeStatus::ShutDown);
       }
     }
     {
       MutexLock wlock(work_mu_);
-      pending_ -= static_cast<std::int64_t>(dropped);
       stopped_ = true;
       ++work_gen_;
     }
@@ -681,16 +644,7 @@ bool ServeEngine::try_claim(std::size_t& cursor, Claim& out) {
       if (!doomed.empty()) {
         state->stats.add(&ServiceStats::faulted,
                          static_cast<std::ptrdiff_t>(doomed.size()));
-        for (Pending& p : doomed) {
-          ServeResult res;
-          res.localized = false;
-          res.status = ServeStatus::Faulted;
-          p.promise.set_value(res);
-        }
-        {
-          MutexLock wlock(work_mu_);
-          pending_ -= static_cast<std::int64_t>(doomed.size());
-        }
+        fail_all(doomed, ServeStatus::Faulted, Verdict::Accept);
         CAL_TRACE_EVENT(obs::EventType::Fault, state->trace_tenant,
                         snapshot_->epoch(), 0,
                         static_cast<double>(doomed.size()));
@@ -710,16 +664,7 @@ bool ServeEngine::try_claim(std::size_t& cursor, Claim& out) {
       if (!expired.empty()) {
         state->stats.add(&ServiceStats::expired,
                          static_cast<std::ptrdiff_t>(expired.size()));
-        for (Pending& p : expired) {
-          ServeResult res;
-          res.localized = false;
-          res.status = ServeStatus::Expired;
-          p.promise.set_value(res);
-        }
-        {
-          MutexLock wlock(work_mu_);
-          pending_ -= static_cast<std::int64_t>(expired.size());
-        }
+        fail_all(expired, ServeStatus::Expired, Verdict::Accept);
         CAL_TRACE_EVENT(obs::EventType::Expire, state->trace_tenant,
                         snapshot_->epoch(), 0,
                         static_cast<double>(expired.size()));
@@ -732,10 +677,6 @@ bool ServeEngine::try_claim(std::size_t& cursor, Claim& out) {
     if (batch.empty()) {  // another worker drained it between the checks
       dep.release(static_cast<std::size_t>(slot));
       continue;
-    }
-    {
-      MutexLock wlock(work_mu_);
-      pending_ -= static_cast<std::int64_t>(batch.size());
     }
     out.snap = snapshot_;
     out.state = state;
@@ -767,7 +708,7 @@ void ServeEngine::worker_loop(std::size_t worker_index) {
     std::uint64_t gen = 0;
     {
       MutexLock lock(work_mu_);
-      if (stopped_ && pending_ <= 0) return;
+      if (stopped_) return;
       gen = work_gen_;
     }
     Claim claim;
@@ -782,9 +723,8 @@ void ServeEngine::worker_loop(std::size_t worker_index) {
     // checks the guarded reads against the lock set of THIS function,
     // which holds work_mu_ across the whole wait.
     MutexLock lock(work_mu_);
-    while (work_gen_ == gen && !(stopped_ && pending_ <= 0))
-      work_cv_.wait(work_mu_);
-    if (stopped_ && pending_ <= 0) return;
+    while (work_gen_ == gen && !stopped_) work_cv_.wait(work_mu_);
+    if (stopped_) return;
   }
 }
 
@@ -851,10 +791,6 @@ void ServeEngine::process(Claim& claim, Rng& rng) {
         ++drift_flushes;
         CAL_TRACE_EVENT(obs::EventType::DriftFlush, trace_tenant,
                         trace_epoch, claim.batch_id, 0.0);
-        if (cfg_.obs.trip_on_drift)
-          recorder_.trip("drift_flush",
-                         {{"tenant", claim.state->key.str()},
-                          {"anchor_distance", s.res.anchor_distance}});
       }
       if (cache->enabled()) {
         s.key = cache->make_key(s.req.fingerprint);
@@ -960,11 +896,10 @@ void ServeEngine::process(Claim& claim, Rng& rng) {
           CAL_TRACE_EVENT(obs::EventType::Quarantine, trace_tenant,
                           trace_epoch, claim.batch_id,
                           static_cast<double>(claim.slot));
-          if (cfg_.obs.trip_on_quarantine)
-            recorder_.trip("replica_quarantine",
-                           {{"tenant", claim.state->key.str()},
-                            {"slot", claim.slot},
-                            {"faulted", faulted_rows}});
+          recorder_.trip("replica_quarantine",
+                         {{"tenant", claim.state->key.str()},
+                          {"slot", claim.slot},
+                          {"faulted", faulted_rows}});
         }
       }
     }
@@ -1028,26 +963,6 @@ void ServeEngine::process(Claim& claim, Rng& rng) {
         CAL_TRACE_EVENT(obs::EventType::Breaker, trace_tenant, trace_epoch,
                         claim.batch_id, static_cast<double>(tr));
     }
-
-    // Sampled p99-breach check: every p99_check_every completions this
-    // tenant's lifetime p99 is read (one mutex hop) and compared against
-    // the configured ceiling.
-    if (cfg_.obs.p99_breach_ms > 0.0) {
-      const std::size_t done =
-          claim.state->completions_since_p99.fetch_add(
-              slots.size(), std::memory_order_relaxed) +
-          slots.size();
-      if (done >= std::max<std::size_t>(1, cfg_.obs.p99_check_every)) {
-        claim.state->completions_since_p99.store(0,
-                                                 std::memory_order_relaxed);
-        const double p99 = stats.latency_p99_ms();
-        if (p99 > cfg_.obs.p99_breach_ms)
-          recorder_.trip("p99_breach",
-                         {{"tenant", claim.state->key.str()},
-                          {"p99_ms", p99},
-                          {"threshold_ms", cfg_.obs.p99_breach_ms}});
-      }
-    }
   } catch (...) {
     // A model/bookkeeping failure must not strand waiting clients.
     for (Slot& s : slots)
@@ -1072,7 +987,7 @@ MultiTenantStats ServeEngine::stats() const {
     t.breaker = state.breaker.snapshot();
     t.quarantined_slots = dep.quarantined_slots();
     t.queue_depth = state.q.size();
-    t.queue_capacity = state.lane.queue_capacity;
+    t.queue_capacity = dep.lane.queue_capacity;
     t.lru_hits = state.cache->hits();
     t.lru_misses = state.cache->misses();
     t.lru_size = state.cache->size();

@@ -192,26 +192,13 @@ class CircuitBreaker {
 };
 
 /// When the engine's flight recorder trips (see obs/flight_recorder.hpp).
-/// Every trigger is off by default: an engine without observability
-/// configuration behaves exactly as before, and the tracer itself is
-/// governed separately (obs::Tracer::set_enabled / CALLOC_TRACING=OFF).
+/// A replica slot quarantine (every row of its batch faulted) always
+/// trips it: a broken replica is exactly the anomaly a flight recorder
+/// exists for, and quarantine is rare enough that the dump rate limiter
+/// is never pressure. The tracer itself is governed separately
+/// (obs::Tracer::set_enabled / CALLOC_TRACING=OFF).
 struct ObsConfig {
-  /// Trip when a tenant's lifetime p99 latency exceeds this (ms); 0 = off.
-  double p99_breach_ms = 0.0;
-  /// Completions between p99 checks per tenant — the check takes the
-  /// tenant's stats mutex, so it is sampled, not per-request.
-  std::size_t p99_check_every = 256;
-  /// Trip when one tenant accumulates this many CONSECUTIVE queue-full
-  /// denials (an admitted request resets the streak); 0 = off.
-  std::size_t queue_full_burst = 0;
-  /// Trip when a drift trend forces a cache flush.
-  bool trip_on_drift = false;
-  /// Trip when a replica slot is quarantined (every row of its batch
-  /// faulted). On by default: a broken replica is exactly the anomaly a
-  /// flight recorder exists for, and quarantine is rare enough that the
-  /// dump rate limiter is never pressure.
-  bool trip_on_quarantine = true;
-  /// Trip on every deploy() — captures the cross-deploy timeline.
+  /// Also trip on every deploy() — captures the cross-deploy timeline.
   bool trip_on_deploy = false;
   /// Dump size / rate limiting for the recorder itself.
   obs::FlightRecorderConfig recorder;
@@ -306,12 +293,12 @@ class ServeEngine {
       std::optional<std::chrono::steady_clock::time_point> deadline =
           std::nullopt);
 
-  /// Blocking convenience wrapper for legacy-style producers (and the
-  /// deprecated shims): retries OverQuota / QueueFull denials with a
-  /// short poll until the request is Accepted or Rejected. BreakerOpen is
-  /// NOT retried — it is returned like Rejected, because an open breaker
-  /// deliberately sheds load and a polling retry would defeat it.
-  /// `denials`, when given, counts the retried attempts.
+  /// Blocking convenience wrapper for drive loops: retries OverQuota /
+  /// QueueFull denials with a short poll until the request is Accepted
+  /// or Rejected. BreakerOpen is NOT retried — it is returned like
+  /// Rejected, because an open breaker deliberately sheds load and a
+  /// polling retry would defeat it. `denials`, when given, counts the
+  /// retried attempts.
   EngineSubmission submit_blocking(const TenantKey& tenant,
                                    std::vector<float> fingerprint_normalized,
                                    std::size_t* denials = nullptr);
@@ -321,7 +308,8 @@ class ServeEngine {
   /// are failed immediately with localized == false.
   void deploy(std::shared_ptr<const DeploymentSnapshot> snapshot);
 
-  /// Stop accepting requests, drain every sub-queue, join the pool.
+  /// Stop accepting requests, fail every queued request with
+  /// ServeStatus::ShutDown, let in-flight batches finish, join the pool.
   /// Idempotent; also run by the destructor.
   void shutdown();
 
@@ -379,7 +367,6 @@ class ServeEngine {
     std::uint64_t trace_tenant = 0;
     std::uint64_t version = 0;
     std::size_t num_aps = 0;
-    ServiceConfig lane;
     /// RCU-replaced (never mutated in place) on hot reload — see Claim.
     std::shared_ptr<FingerprintCache> cache;
     std::shared_ptr<DriftMonitor> drift;
@@ -392,11 +379,6 @@ class ServeEngine {
     /// queued, so the dequeue path of deadline-free tenants (the common
     /// case) never pays the drain_if scan or the clock read.
     std::atomic<bool> has_deadlines{false};
-    /// Consecutive QueueFull denials (ObsConfig::queue_full_burst trip);
-    /// any accepted submission resets it.
-    std::atomic<std::size_t> queue_full_streak{0};
-    /// Completions since the last sampled p99-breach check.
-    std::atomic<std::size_t> completions_since_p99{0};
   };
 
   struct Claim {
@@ -423,14 +405,18 @@ class ServeEngine {
   /// being failed.
   std::size_t drop_queue(TenantState& st, ServeStatus status)
       CAL_REQUIRES(mu_);
+  /// Resolve every request in `reqs` unlocalized with `status` and
+  /// `verdict`. Callers count the requests in stats first, so a resolved
+  /// future is always visible in stats().
+  static void fail_all(std::vector<Pending>& reqs, ServeStatus status,
+                       Verdict verdict);
 
   // worker_loop itself parks on work_cv_ between claims and is therefore
   // deliberately NOT hot-path annotated; the claim→checkout→screen→
   // predict→complete chain it runs per wakeup is.
   void worker_loop(std::size_t worker_index) CAL_EXCLUDES(mu_, work_mu_);
   CAL_HOT_PATH
-  bool try_claim(std::size_t& cursor, Claim& out)
-      CAL_EXCLUDES(mu_, work_mu_);
+  bool try_claim(std::size_t& cursor, Claim& out) CAL_EXCLUDES(mu_);
   CAL_HOT_PATH
   void process(Claim& claim, Rng& rng);
 
@@ -454,9 +440,8 @@ class ServeEngine {
   Mutex work_mu_;
   CondVar work_cv_;
   std::uint64_t work_gen_ CAL_GUARDED_BY(work_mu_) = 0;
-  /// Queued-but-unclaimed requests, fleet-wide. Signed: push/claim
-  /// bookkeeping from different threads may transiently interleave.
-  std::int64_t pending_ CAL_GUARDED_BY(work_mu_) = 0;
+  /// Workers exit on this flag alone: shutdown() fails every queued
+  /// request before it sets it, so nothing is left to claim.
   bool stopped_ CAL_GUARDED_BY(work_mu_) = false;
 
   std::atomic<std::size_t> route_exact_{0};

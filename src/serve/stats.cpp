@@ -109,9 +109,4 @@ ServiceStats StatsCollector::snapshot() const {
   return s;
 }
 
-double StatsCollector::latency_p99_ms() const {
-  MutexLock lock(mu_);
-  return block_.latency.quantile(0.99);
-}
-
 }  // namespace cal::serve

@@ -177,12 +177,6 @@ class StatsCollector {
   /// A copy of the block plus the derived means, percentiles and rate.
   ServiceStats snapshot() const CAL_EXCLUDES(mu_);
 
-  /// Cheap read of the current lifetime p99 — the flight-recorder breach
-  /// check runs this on the completion path, where a full snapshot()
-  /// (with its wall-clock math and struct copy) would be waste.
-  CAL_HOT_PATH
-  double latency_p99_ms() const CAL_EXCLUDES(mu_);
-
  private:
   mutable Mutex mu_;
   std::chrono::steady_clock::time_point start_ CAL_GUARDED_BY(mu_);

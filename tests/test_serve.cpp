@@ -1663,7 +1663,7 @@ TEST(Engine, RemovedTenantFailsQueuedAndRejectsNew) {
   doomed.num_aps = kTinyAps;
   doomed.service.num_workers = 1;
   doomed.service.max_batch = 1;
-  doomed.service.queue_capacity = 8;
+  doomed.service.queue_capacity = 72;
   reg.register_tenant({"doomed", 0, ""}, std::move(doomed));
   reg.register_tenant({"kept", 0, ""}, const_spec(9));
   EngineConfig cfg;
@@ -1674,16 +1674,26 @@ TEST(Engine, RemovedTenantFailsQueuedAndRejectsNew) {
   auto r1 = engine.submit(key, tiny_fp());
   ASSERT_EQ(r1.admission, Admission::Accepted);
   entered.get_future().wait();  // R1 is in flight, not queued
-  auto r2 = engine.submit(key, tiny_fp());  // queued behind the gate
-  ASSERT_EQ(r2.admission, Admission::Accepted);
+  // Queued behind the gate: many batches' worth, so the deploy must fail
+  // the whole queue, not just its head.
+  std::vector<EngineSubmission> queued;
+  for (int i = 0; i < 70; ++i) {
+    queued.push_back(engine.submit(key, tiny_fp()));
+    ASSERT_EQ(queued.back().admission, Admission::Accepted);
+  }
 
   reg.remove_tenant(key);
   engine.deploy(reg.publish());
 
-  // The queued request fails deterministically at the deploy...
-  ASSERT_EQ(r2.result.wait_for(std::chrono::seconds(2)),
-            std::future_status::ready);
-  EXPECT_FALSE(r2.result.get().localized);
+  // Every queued request fails deterministically at the deploy...
+  for (EngineSubmission& q : queued) {
+    ASSERT_EQ(q.result.wait_for(std::chrono::seconds(2)),
+              std::future_status::ready);
+    const ServeResult res = q.result.get();
+    EXPECT_FALSE(res.localized);
+    EXPECT_EQ(res.status, ServeStatus::Dropped);
+    EXPECT_EQ(res.verdict, Verdict::Reject);
+  }
   // ...new submissions are routing misses...
   EXPECT_EQ(engine.submit(key, tiny_fp()).admission, Admission::Rejected);
   // ...and the in-flight batch still completes on the old deployment.
@@ -2524,6 +2534,9 @@ TEST(Engine, ReplicaFaultQuarantinesSlotsAndHealsOnDeploy) {
   })) << "both broken slots must end up quarantined";
   EXPECT_GE(engine.flight_recorder().trips(), 2u)
       << "each quarantine trips the flight recorder";
+  ASSERT_TRUE(engine.flight_recorder().last_dump().has_value());
+  EXPECT_EQ(engine.flight_recorder().last_dump()->reason,
+            "replica_quarantine");
 
   // A fully quarantined tenant fast-fails with a ready future — no work
   // is queued toward replicas that no longer exist.
@@ -2799,8 +2812,11 @@ TEST(Engine, ShutdownFailsQueuedRequestsTyped) {
   // Queued-but-unclaimed requests resolve with the typed terminal status
   // BEFORE the in-flight batch finishes — the gate is still closed, so a
   // blocking drain would deadlock here.
-  EXPECT_EQ(r2.result.get().status, ServeStatus::ShutDown);
-  EXPECT_EQ(r3.result.get().status, ServeStatus::ShutDown);
+  for (auto* r : {&r2, &r3}) {
+    const ServeResult res = r->result.get();
+    EXPECT_EQ(res.status, ServeStatus::ShutDown);
+    EXPECT_EQ(res.verdict, Verdict::Reject);
+  }
   EXPECT_NE(r1.result.wait_for(std::chrono::milliseconds(0)),
             std::future_status::ready)
       << "the in-flight request is still parked on the gate";
