@@ -318,28 +318,22 @@ int main() {
   const auto& venue0 = stats.per_tenant[venue0_shard].stats;
   const auto& venue0_solo = solo_stats.per_tenant[0].stats;
 
+  const auto snapshot = service.snapshot();
+  const auto shard_anchors = [&snapshot](const serve::TenantKey& key) {
+    return snapshot->find(key)->screen.num_anchors();
+  };
   std::size_t total_anchors = 0;
-  for (std::size_t shard = 0; shard < stats.per_tenant.size(); ++shard)
-    total_anchors +=
-        service.tenant_screen(stats.per_tenant[shard].tenant).num_anchors();
+  for (const auto& t : stats.per_tenant)
+    total_anchors += shard_anchors(t.tenant);
 
   TextTable table({"tenant", "anchors", "screened", "mean scanned",
-                   "pruned %", "flag+rej", "req/s"});
-  for (std::size_t shard = 0; shard < stats.per_tenant.size(); ++shard) {
-    const auto& t = stats.per_tenant[shard];
-    const double pruned_pct =
-        t.stats.anchors_scanned + t.stats.anchors_pruned > 0
-            ? 100.0 * static_cast<double>(t.stats.anchors_pruned) /
-                  static_cast<double>(t.stats.anchors_scanned +
-                                      t.stats.anchors_pruned)
-            : 0.0;
+                   "flag+rej", "req/s"});
+  for (const auto& t : stats.per_tenant)
     table.add_row(
-        {t.tenant.str(),
-         std::to_string(service.tenant_screen(t.tenant).num_anchors()),
+        {t.tenant.str(), std::to_string(shard_anchors(t.tenant)),
          std::to_string(t.stats.screened), fmt(t.stats.mean_anchors_scanned),
-         fmt(pruned_pct), std::to_string(t.stats.flagged + t.stats.rejected),
+         std::to_string(t.stats.flagged + t.stats.rejected),
          fmt(t.stats.throughput_rps)});
-  }
   std::printf("%s\n", table.str().c_str());
   std::printf("fleet: %zu venues on ONE pool of %zu threads, %zu anchors "
               "total, %zu requests in %.2f s (%.0f req/s end-to-end), "
@@ -412,12 +406,11 @@ int main() {
         std::fprintf(
             f,
             "    {\"tenant\": \"%s\", \"anchors\": %zu, \"screened\": %zu,\n"
-            "     \"mean_anchors_scanned\": %.3f, \"anchors_pruned\": %zu,\n"
+            "     \"mean_anchors_scanned\": %.3f,\n"
             "     \"flagged\": %zu, \"rejected\": %zu, \"rps\": %.1f}%s\n",
-            t.tenant.str().c_str(),
-            service.tenant_screen(t.tenant).num_anchors(), t.stats.screened,
-            t.stats.mean_anchors_scanned, t.stats.anchors_pruned,
-            t.stats.flagged, t.stats.rejected, t.stats.throughput_rps,
+            t.tenant.str().c_str(), shard_anchors(t.tenant), t.stats.screened,
+            t.stats.mean_anchors_scanned, t.stats.flagged, t.stats.rejected,
+            t.stats.throughput_rps,
             shard + 1 < stats.per_tenant.size() ? "," : "");
       }
       std::fprintf(f, "  ],\n");
@@ -464,16 +457,15 @@ int main() {
       loaded.quiet_p99_ms <= isolation_bound_ms,
       "quiet tenant p99 beside the flood (" + fmt(loaded.quiet_p99_ms) +
           " ms) within bound (" + fmt(isolation_bound_ms) + " ms)");
-  // 4. Screening work scales with the shard, not the fleet.
-  for (std::size_t shard = 0; shard < stats.per_tenant.size(); ++shard) {
-    const auto& t = stats.per_tenant[shard];
-    const auto shard_anchors = static_cast<double>(
-        service.tenant_screen(t.tenant).num_anchors());
+  // 4. Screening work scales with the shard, not the fleet: each
+  // screened request scans exactly its own shard's anchors.
+  for (const auto& t : stats.per_tenant) {
+    const std::size_t anchors = shard_anchors(t.tenant);
     ok &= bench::shape_check(
-        t.stats.mean_anchors_scanned <= shard_anchors,
-        "shard " + t.tenant.str() + " screening work <= its " +
-            std::to_string(static_cast<std::size_t>(shard_anchors)) +
-            " anchors (got " + fmt(t.stats.mean_anchors_scanned) + ")");
+        t.stats.anchors_scanned == t.stats.screened * anchors,
+        "shard " + t.tenant.str() + " scans its " + std::to_string(anchors) +
+            " anchors per screened request (got " +
+            fmt(t.stats.mean_anchors_scanned) + ")");
   }
   ok &= bench::shape_check(
       stats.aggregate.mean_anchors_scanned <

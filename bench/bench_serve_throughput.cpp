@@ -145,10 +145,8 @@ int main() {
   std::printf("request stream: %zu requests over %zu distinct fingerprints, "
               "%zu hardware threads\n\n", n_requests, x.rows(), hw);
 
-  std::vector<ModeReport> reports;
-
   // 1. Sequential baseline: one predict() per request, no engine at all.
-  {
+  const auto sequential = [&] {
     Rng rng(1);
     std::vector<double> lat;
     lat.reserve(n_requests);
@@ -169,27 +167,41 @@ int main() {
     r.p50 = percentile(lat, 50.0);
     r.p95 = percentile(lat, 95.0);
     r.p99 = percentile(lat, 99.0);
-    reports.push_back(r);
-  }
+    return r;
+  };
 
   const std::size_t num_aps = traffic.num_aps();
-  // 2. Engine, one worker, no coalescing: queue/future overhead exposed.
-  {
-    auto engine = make_engine(factory, num_aps, 1, 1, 1, 0);
-    reports.push_back(
-        drive("engine 1w batch=1", engine, x, n_requests, 0.0, Rng(2)));
-  }
-  // 3. Engine, one worker, micro-batching on.
-  {
-    auto engine = make_engine(factory, num_aps, 1, 1, 32, 0);
-    reports.push_back(
-        drive("engine 1w batch=32", engine, x, n_requests, 0.0, Rng(3)));
-  }
-  // 4. Pool of hw threads, one replica slot per thread, batching on.
-  {
-    auto engine = make_engine(factory, num_aps, hw, hw, 32, 0);
-    reports.push_back(drive("engine " + std::to_string(hw) + "w batch=32",
-                            engine, x, n_requests, 0.0, Rng(4)));
+  struct EngineMode {
+    std::string name;
+    std::size_t pool, slots, max_batch;
+    std::uint64_t seed;
+  };
+  const EngineMode modes[] = {
+      // 2. One worker, no coalescing: queue/future overhead exposed.
+      {"engine 1w batch=1", 1, 1, 1, 2},
+      // 3. One worker, micro-batching on.
+      {"engine 1w batch=32", 1, 1, 32, 3},
+      // 4. Pool of hw threads, one replica slot per thread, batching on.
+      {"engine " + std::to_string(hw) + "w batch=32", hw, hw, 32, 4},
+  };
+  // Modes 1-4 feed the throughput checks below, so each reports its best
+  // of kRuns interleaved runs (the same request stream every run), as the
+  // trace gate does: interference only ever slows a run down, so one
+  // stall must not decide a check.
+  constexpr int kRuns = 5;
+  std::vector<ModeReport> reports(1 + std::size(modes));
+  const auto keep_best = [](ModeReport& best, ModeReport r) {
+    if (r.rps > best.rps) best = std::move(r);
+  };
+  for (int run = 0; run < kRuns; ++run) {
+    keep_best(reports[0], sequential());
+    for (std::size_t m = 0; m < std::size(modes); ++m) {
+      const EngineMode& mode = modes[m];
+      auto engine = make_engine(factory, num_aps, mode.pool, mode.slots,
+                                mode.max_batch, 0);
+      keep_best(reports[1 + m], drive(mode.name, engine, x, n_requests, 0.0,
+                                      Rng(mode.seed)));
+    }
   }
   // 5. Stationary-fleet traffic (70% repeats) with the LRU cache on.
   {
@@ -239,15 +251,16 @@ int main() {
     }
   }
 
-  // 1.2x margin. In quick mode on a 4-vCPU x86-64 VM (six runs with the
-  // trace gate on) the ratios measured 0.73-1.37x (batch=32 over
-  // sequential predict()), 1.57-2.83x (over the unbatched engine path)
-  // and 0.76-1.22x (pooled over sequential): the first and third checks
-  // fail there in 5 of 6 runs. Sequential predict() of this 24-AP model
-  // runs 397-585k req/s on pre-packed operands, about what the engine
-  // spends per request on submit, queueing and promise fulfilment, so
-  // batching no longer buys the margin (see ROADMAP "Engine per-request
-  // cost").
+  // 1.2x margin. In quick mode on a 4-vCPU x86-64 VM (240 runs with the
+  // trace gate on, each mode its best of 5) the ratios measured
+  // 0.80-1.57x, median 1.06x (batch=32 over sequential predict()),
+  // 1.54-2.76x (over the unbatched engine path) and 0.98-1.65x, median
+  // 1.21x (pooled over sequential): the first check fails there in 179
+  // of 240 runs and the third in 115. Sequential predict() of this 24-AP
+  // model runs 363-621k req/s on pre-packed operands, about what the
+  // engine spends per request on submit, queueing and promise
+  // fulfilment, so batching no longer buys the margin (see ROADMAP
+  // "Engine per-request cost").
   constexpr double kMargin = 1.2;
   bool ok = true;
   ok &= bench::shape_check(reports[2].rps > kMargin * reports[0].rps,

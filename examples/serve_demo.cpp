@@ -9,9 +9,9 @@
 // (publish + RCU deploy) without dropping a request.
 //
 // Shows: registry + fallback routing, typed admission (quota shedding),
-// per-shard screening thresholds and ShardIndex probe counters, tenant-
-// local caches, drift trend telemetry, deterministic rejects, hot reload
-// that flushes only the reloaded tenant, and the aggregate fleet view.
+// per-shard screening thresholds and screening work, tenant-local
+// caches, drift trend telemetry, deterministic rejects, hot reload that
+// flushes only the reloaded tenant, and the aggregate fleet view.
 //
 // Run: ./build/examples/serve_demo
 #include <cstdio>
@@ -236,15 +236,19 @@ int main() {
   // live with a publish + RCU deploy: no drain, no dropped requests, and
   // ONLY the office cache/drift baseline is flushed — the lab keeps
   // serving from its warm cache.
-  const std::size_t lab_cache_before = engine.tenant_cache(lab_key).size();
+  const auto lru_size = [&engine](const serve::TenantKey& key) {
+    for (const auto& t : engine.stats().per_tenant)
+      if (t.tenant == key) return t.lru_size;
+    return std::size_t{0};
+  };
+  const std::size_t lab_cache_before = lru_size(lab_key);
   registry.reload_tenant(office_key, office_spec());
   engine.deploy(registry.publish());
   std::printf("\nhot reload: office model redeployed mid-traffic (epoch "
               "%llu); office cache flushed to %zu entries, lab cache kept "
               "%zu/%zu\n",
               static_cast<unsigned long long>(engine.snapshot()->epoch()),
-              engine.tenant_cache(office_key).size(),
-              engine.tenant_cache(lab_key).size(), lab_cache_before);
+              lru_size(office_key), lru_size(lab_key), lab_cache_before);
   // A short post-reload wave: the fresh deployment serves immediately.
   std::size_t post_reload_ok = 0;
   for (std::size_t i = 0; i < 32; ++i) {
@@ -305,29 +309,22 @@ int main() {
               clients.size(), kRequestsPerDevice, fleet.size(), atk.epsilon,
               atk.phi_percent, table.str().c_str());
 
-  // -- Per-tenant screening-work telemetry (ShardIndex probe counters) ----
-  TextTable probes({"tenant", "anchors", "screened", "scanned", "pruned",
-                    "mean scanned", "pruned %"});
+  // -- Per-tenant screening-work telemetry --------------------------------
+  const auto snap = engine.snapshot();
+  TextTable screen_work({"tenant", "anchors", "screened", "scanned",
+                         "mean scanned"});
   for (const auto& t : stats.per_tenant) {
-    const std::size_t total = t.stats.anchors_scanned + t.stats.anchors_pruned;
     char mean[32];
-    char pct[32];
     std::snprintf(mean, sizeof(mean), "%.1f", t.stats.mean_anchors_scanned);
-    std::snprintf(pct, sizeof(pct), "%.1f%%",
-                  total > 0 ? 100.0 *
-                                  static_cast<double>(t.stats.anchors_pruned) /
-                                  static_cast<double>(total)
-                            : 0.0);
-    probes.add_row(
+    screen_work.add_row(
         {t.tenant.str(),
-         std::to_string(engine.tenant_screen(t.tenant).num_anchors()),
+         std::to_string(snap->find(t.tenant)->screen.num_anchors()),
          std::to_string(t.stats.screened),
-         std::to_string(t.stats.anchors_scanned),
-         std::to_string(t.stats.anchors_pruned), mean, pct});
+         std::to_string(t.stats.anchors_scanned), mean});
   }
-  std::printf("per-tenant shard-index probes (screening work stays on the "
-              "routed shard)\n%s\n",
-              probes.str().c_str());
+  std::printf("per-tenant screening work (each request scans only its "
+              "routed shard's anchors)\n%s\n",
+              screen_work.str().c_str());
 
   std::printf("\nfleet telemetry\n---------------\n%s\n",
               stats.str().c_str());

@@ -24,7 +24,7 @@
 //     WriterMutexLock, lock_guard / scoped_lock / unique_lock /
 //     shared_lock construction. try_to_lock / defer_lock acquisitions
 //     are allowed (they cannot block). Reserve this for genuinely
-//     lock-free leaves: ShardIndex::nearest, Tracer::record, the
+//     lock-free leaves: serve::anchor_distance, Tracer::record, the
 //     per-ISA GEMM kernel bodies.
 //
 //   CAL_NOALLOC

@@ -531,6 +531,9 @@ void ServeEngine::deploy(std::shared_ptr<const DeploymentSnapshot> snapshot) {
   // Before any engine state is touched: a deploy that faults here leaves
   // the old snapshot serving untouched (strong exception safety).
   CAL_FAULT_POINT("serve.deploy");
+  // The snapshot is immutable: its epoch is this deploy's, whatever a
+  // concurrent deploy() swaps in after us.
+  const std::uint64_t epoch = snapshot->epoch();
   std::size_t dropped = 0;
   {
     WriterMutexLock lock(mu_);
@@ -581,10 +584,6 @@ void ServeEngine::deploy(std::shared_ptr<const DeploymentSnapshot> snapshot) {
     ++work_gen_;
   }
   work_cv_.notify_all();
-  const std::uint64_t epoch = [this] {
-    ReaderMutexLock lock(mu_);
-    return snapshot_->epoch();
-  }();
   CAL_TRACE_EVENT(obs::EventType::Deploy, 0, epoch, 0,
                   static_cast<double>(dropped));
   if (cfg_.obs.trip_on_deploy)
@@ -745,7 +744,6 @@ void ServeEngine::process(Claim& claim, Rng& rng) {
     Pending req;
     ServeResult res;
     FingerprintCache::Key key;
-    ShardIndexProbe probe;
     bool infer = false;
     bool audited = false;
     bool audit_mismatch = false;
@@ -777,7 +775,7 @@ void ServeEngine::process(Claim& claim, Rng& rng) {
         s.res.localized = false;
         continue;
       }
-      s.res.anchor_distance = screen.distance(s.req.fingerprint, &s.probe);
+      s.res.anchor_distance = screen.distance(s.req.fingerprint);
       s.res.verdict = screen.classify(s.res.anchor_distance);
       if (screen.enabled())
         CAL_TRACE_EVENT(obs::EventType::Screen, trace_tenant, trace_epoch,
@@ -934,12 +932,9 @@ void ServeEngine::process(Claim& claim, Rng& rng) {
       if (s.res.from_cache) ++counts.cache_hits;
       if (s.audited) ++counts.cache_audits;
       if (s.audit_mismatch) ++counts.cache_audit_mismatches;
-      if (screen.enabled()) {
-        ++counts.screened;
-        counts.anchors_scanned += s.probe.scanned;
-        counts.anchors_pruned += s.probe.pruned;
-      }
+      if (screen.enabled()) ++counts.screened;
     }
+    counts.anchors_scanned = counts.screened * screen.num_anchors();
     stats.record_batch(counts, latency_ms);
     for (Slot& s : slots) {
       if (s.res.status == ServeStatus::Served)
@@ -1133,27 +1128,6 @@ std::size_t ServeEngine::num_tenants() const {
 std::shared_ptr<const DeploymentSnapshot> ServeEngine::snapshot() const {
   ReaderMutexLock lock(mu_);
   return snapshot_;
-}
-
-const FingerprintCache& ServeEngine::tenant_cache(const TenantKey& key) const {
-  ReaderMutexLock lock(mu_);
-  const auto it = states_.find(key);
-  CAL_ENSURE(it != states_.end(), "unknown tenant " << key.str());
-  return *it->second->cache;
-}
-
-const AnchorScreen& ServeEngine::tenant_screen(const TenantKey& key) const {
-  ReaderMutexLock lock(mu_);
-  const TenantDeployment* dep = snapshot_->find(key);
-  CAL_ENSURE(dep != nullptr, "unknown tenant " << key.str());
-  return dep->screen;
-}
-
-DriftTrend ServeEngine::tenant_drift(const TenantKey& key) const {
-  ReaderMutexLock lock(mu_);
-  const auto it = states_.find(key);
-  CAL_ENSURE(it != states_.end(), "unknown tenant " << key.str());
-  return it->second->drift->snapshot();
 }
 
 }  // namespace cal::serve

@@ -337,12 +337,6 @@ class ServeEngine {
   std::size_t num_tenants() const;
   std::shared_ptr<const DeploymentSnapshot> snapshot() const;
 
-  /// Per-tenant introspection (exact deployed key, no fallback). The
-  /// screen reference is valid until the next deploy().
-  const FingerprintCache& tenant_cache(const TenantKey& key) const;
-  const AnchorScreen& tenant_screen(const TenantKey& key) const;
-  DriftTrend tenant_drift(const TenantKey& key) const;
-
  private:
   struct Pending {
     std::vector<float> fingerprint;

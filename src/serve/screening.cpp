@@ -18,6 +18,30 @@ std::string to_string(Verdict v) {
   return "?";
 }
 
+double squared_distance(std::span<const float> fingerprint,
+                        std::span<const float> anchor) {
+  // kLanes independent partial sums (element j feeds sum j % kLanes) break
+  // the add-latency chain a single accumulator forms; the compiler keeps
+  // them in vector registers (4 x 2-lane doubles at the SSE2 baseline).
+  // The split and the final combining order are fixed, so every caller
+  // gets the identical double for the same inputs.
+  constexpr std::size_t kLanes = 8;
+  double part[kLanes] = {};
+  const std::size_t n = anchor.size();
+  const std::size_t body = n - n % kLanes;
+  for (std::size_t j = 0; j < body; j += kLanes)
+    for (std::size_t l = 0; l < kLanes; ++l) {
+      const double d = static_cast<double>(fingerprint[j + l]) - anchor[j + l];
+      part[l] += d * d;
+    }
+  for (std::size_t j = body; j < n; ++j) {
+    const double d = static_cast<double>(fingerprint[j]) - anchor[j];
+    part[j - body] += d * d;
+  }
+  return ((part[0] + part[4]) + (part[1] + part[5])) +
+         ((part[2] + part[6]) + (part[3] + part[7]));
+}
+
 double anchor_distance(const Tensor& anchors,
                        std::span<const float> fingerprint) {
   CAL_ENSURE(anchors.rank() == 2 && anchors.rows() > 0,
@@ -68,16 +92,17 @@ ScreeningThresholds calibrate_thresholds(const Tensor& anchors,
 }
 
 AnchorScreen::AnchorScreen(Tensor anchors, ScreeningThresholds thresholds)
-    : index_(std::move(anchors)), thresholds_(thresholds) {
+    : anchors_(std::move(anchors)), thresholds_(thresholds) {
+  CAL_ENSURE(anchors_.rank() == 2 && !anchors_.empty(),
+             "AnchorScreen needs a non-empty (M x num_aps) anchor matrix");
   CAL_ENSURE(thresholds_.flag_distance >= 0.0 &&
                  thresholds_.reject_distance >= thresholds_.flag_distance,
              "screening thresholds must satisfy 0 <= flag <= reject");
 }
 
-double AnchorScreen::distance(std::span<const float> fingerprint,
-                              ShardIndexProbe* probe) const {
+double AnchorScreen::distance(std::span<const float> fingerprint) const {
   if (!enabled()) return 0.0;
-  return index_.nearest(fingerprint, probe);
+  return anchor_distance(anchors_, fingerprint);
 }
 
 Verdict AnchorScreen::classify(double distance) const {

@@ -19,7 +19,6 @@
 
 #include "common/hot_path_annotations.hpp"
 #include "data/dataset.hpp"
-#include "serve/shard_index.hpp"
 #include "tensor/tensor.hpp"
 
 namespace cal::serve {
@@ -36,10 +35,21 @@ struct ScreeningThresholds {
   double reject_distance = std::numeric_limits<double>::infinity();
 };
 
+/// Squared Euclidean distance between a fingerprint and one anchor row,
+/// summed in double in a fixed order (eight interleaved partial sums), so
+/// the same inputs always give the identical double.
+CAL_HOT_PATH CAL_NONBLOCKING CAL_NOALLOC
+double squared_distance(std::span<const float> fingerprint,
+                        std::span<const float> anchor);
+
 /// RMS-per-AP distance from a normalised fingerprint to its nearest row
-/// of `anchors` (M x num_aps, normalised). Dividing the Euclidean norm by
-/// sqrt(num_aps) keeps thresholds comparable across buildings with
-/// different AP counts: 0.1 means "10 dB of deviation per AP on average".
+/// of `anchors` (M x num_aps, normalised): an exact scan over every
+/// anchor. Dividing the Euclidean norm by sqrt(num_aps) keeps thresholds
+/// comparable across buildings with different AP counts: 0.1 means
+/// "10 dB of deviation per AP on average". Screening calibration and
+/// AnchorScreen::distance both call it, so a served distance and the
+/// clean distances its thresholds came from are the same quantity.
+CAL_HOT_PATH CAL_NONBLOCKING CAL_NOALLOC
 double anchor_distance(const Tensor& anchors,
                        std::span<const float> fingerprint);
 
@@ -62,12 +72,9 @@ ScreeningThresholds calibrate_thresholds(const Tensor& anchors,
                                          double reject_factor = 2.0);
 
 /// Stateless screen bound to one shard's anchor database. Immutable after
-/// construction, hence freely shared across worker threads. The nearest-
-/// anchor search runs through a ShardIndex, so per-request screening work
-/// is bounded by the shard's own anchor count, never the fleet-wide
-/// total (the centroid bound trims a further slice within the shard —
-/// ~9-19% on Table II venues; see shard_index.hpp and the multi-centroid
-/// follow-on in ROADMAP.md).
+/// construction, hence freely shared across worker threads. Each request
+/// scans every anchor of its own shard (anchor_distance), so screening
+/// work is the shard's anchor count, never the fleet-wide total.
 class AnchorScreen {
  public:
   /// Default-constructed screens are disabled: distance 0, always Accept.
@@ -76,23 +83,20 @@ class AnchorScreen {
   /// `anchors`: (M x num_aps) normalised database; must be non-empty.
   AnchorScreen(Tensor anchors, ScreeningThresholds thresholds);
 
-  bool enabled() const { return !index_.empty(); }
+  bool enabled() const { return !anchors_.empty(); }
   const ScreeningThresholds& thresholds() const { return thresholds_; }
-  std::size_t num_anchors() const { return index_.num_anchors(); }
-  const Tensor& anchors() const { return index_.anchors(); }
+  std::size_t num_anchors() const { return enabled() ? anchors_.rows() : 0; }
 
   /// Distance of one fingerprint to the nearest anchor (0 when disabled).
-  /// `probe`, when given, reports the scan/prune work of this query.
   CAL_HOT_PATH CAL_NOALLOC
-  double distance(std::span<const float> fingerprint,
-                  ShardIndexProbe* probe = nullptr) const;
+  double distance(std::span<const float> fingerprint) const;
 
   /// Threshold the distance into a verdict.
   CAL_HOT_PATH CAL_NONBLOCKING CAL_NOALLOC
   Verdict classify(double distance) const;
 
  private:
-  ShardIndex index_;
+  Tensor anchors_;
   ScreeningThresholds thresholds_;
 };
 

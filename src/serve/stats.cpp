@@ -23,8 +23,7 @@ std::string ServiceStats::str() const {
   os << "\n";
   if (screened > 0)
     os << "screen:   " << screened << " screened, mean "
-       << mean_anchors_scanned << " anchors scanned ("
-       << anchors_pruned << " pruned total)\n";
+       << mean_anchors_scanned << " anchors scanned\n";
   os << "batching: " << batches << " micro-batches, mean " << mean_batch_size
      << ", largest " << largest_batch << "\n";
   os << "latency:  mean " << latency_mean_ms << " ms, p50 " << latency_p50_ms

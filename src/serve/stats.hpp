@@ -52,7 +52,6 @@ struct ServiceStats {
   std::size_t rejected = 0;
   std::size_t screened = 0;         ///< requests that ran the anchor screen
   std::size_t anchors_scanned = 0;  ///< full distance computations, total
-  std::size_t anchors_pruned = 0;   ///< anchors skipped by the shard index
   double mean_anchors_scanned = 0.0;///< anchors_scanned / screened
   std::size_t drift_flushes = 0;    ///< cache flushes forced by drift trend
   std::size_t batches = 0;          ///< micro-batches drained by workers
@@ -125,7 +124,6 @@ inline constexpr CounterRow<ServiceStats> kServiceCounters[] = {
     {&ServiceStats::screened, "cal_serve_screened_total",
      "Requests that ran the anchor screen"},
     {&ServiceStats::anchors_scanned},
-    {&ServiceStats::anchors_pruned},
     {&ServiceStats::batched_items},
 };
 

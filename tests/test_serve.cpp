@@ -33,7 +33,6 @@
 #include "serve/snapshot.hpp"
 #include "serve/screening.hpp"
 #include "serve/service.hpp"
-#include "serve/shard_index.hpp"
 #include "sim/fleet.hpp"
 
 namespace {
@@ -96,6 +95,15 @@ ReplicaFactory calloc_factory() {
 std::vector<float> row_of(const Tensor& x, std::size_t r) {
   const auto row = x.row(r);
   return {row.begin(), row.end()};
+}
+
+/// One tenant's entry of the engine's stats() read: its LRU and drift
+/// gauges included.
+TenantStats tenant_stats(const ServeEngine& engine, const TenantKey& key) {
+  for (TenantStats& t : engine.stats().per_tenant)
+    if (t.tenant == key) return t;
+  ADD_FAILURE() << "no stats for tenant " << key.str();
+  return {};
 }
 
 // ---------------------------------------------------------------------------
@@ -256,7 +264,13 @@ TEST(Screening, DistanceAndClassification) {
   // coordinates -> sqrt(0.01/2).
   EXPECT_NEAR(screen.distance(std::vector<float>{0.6F, 0.5F}),
               std::sqrt(0.01 / 2.0), 1e-6);
+  EXPECT_THROW(screen.distance(std::vector<float>{0.2F}), PreconditionError);
   EXPECT_THROW(AnchorScreen(anchors, {0.5, 0.1}), PreconditionError);
+  EXPECT_THROW(AnchorScreen(Tensor{}, th), PreconditionError);
+  // A single anchor: a query sitting on it is exactly 0.
+  const AnchorScreen single(Tensor::from_rows({{0.25F, 0.75F}}), th);
+  EXPECT_EQ(single.num_anchors(), 1u);
+  EXPECT_EQ(single.distance(std::vector<float>{0.25F, 0.75F}), 0.0);
 }
 
 TEST(Screening, DisabledScreenAcceptsEverything) {
@@ -320,8 +334,8 @@ class SingleTenantHarness {
   ServiceStats stats() const {
     return engine_->stats().per_tenant.front().stats;
   }
-  const FingerprintCache& cache() const {
-    return engine_->tenant_cache(key_);
+  std::size_t cache_size() const {
+    return tenant_stats(*engine_, key_).lru_size;
   }
   void shutdown() { engine_->shutdown(); }
 
@@ -539,68 +553,52 @@ TEST(Service, ValidatesInputsAndShutdownIsFinal) {
 }
 
 // ---------------------------------------------------------------------------
-// ShardIndex
+// Screening distance
 // ---------------------------------------------------------------------------
 
-TEST(ShardIndex, PrunedNearestMatchesFullScanBitForBit) {
-  // Clustered anchors (the shape real per-RP fingerprints have): the
-  // centroid bound must prune without ever changing the returned minimum.
-  // 218 APs (Building 5) also runs the distance's 8-wide body with a
-  // 2-element remainder; 12 is one body pass plus 4. At 218 APs uniform
-  // queries sit about equally far from every anchor and nothing prunes,
-  // so those queries scatter around the clusters instead.
-  for (const std::size_t dim : {12u, 218u}) {
+TEST(Screening, DistanceMatchesNaiveScanAtEveryLaneRemainder) {
+  // Widths 1-17 cover every body/tail split of squared_distance's 8-lane
+  // sum; 156 and 218 are the servebench venues (Buildings 1 and 5).
+  // Clustered anchors, the shape real per-RP fingerprints have, with
+  // queries scattered around the clusters. The reference is a plain
+  // sequential double loop, so only the summation order differs.
+  std::vector<std::size_t> widths = {156, 218};
+  for (std::size_t n = 1; n <= 17; ++n) widths.push_back(n);
+  for (const std::size_t dim : widths) {
     SCOPED_TRACE("dim " + std::to_string(dim));
-    Rng rng(17);
+    Rng rng(17 + dim);
     const std::size_t per_cluster = 20;
     Tensor anchors({3 * per_cluster, dim});
     const float centers[3] = {0.2F, 0.5F, 0.8F};
     for (std::size_t c = 0; c < 3; ++c)
-      for (std::size_t i = 0; i < per_cluster; ++i) {
-        auto row = anchors.row(c * per_cluster + i);
-        for (auto& v : row)
+      for (std::size_t i = 0; i < per_cluster; ++i)
+        for (auto& v : anchors.row(c * per_cluster + i))
           v = centers[c] + static_cast<float>(rng.normal(0.0, 0.02));
-      }
-    const ShardIndex index(anchors);
-    ASSERT_EQ(index.num_anchors(), 3 * per_cluster);
+    const AnchorScreen screen(anchors, ScreeningThresholds{});
+    ASSERT_EQ(screen.num_anchors(), 3 * per_cluster);
 
-    std::size_t scanned_total = 0;
-    const std::size_t kQueries = 200;
-    for (std::size_t q = 0; q < kQueries; ++q) {
+    const auto naive = [&](std::span<const float> fp) {
+      double best = std::numeric_limits<double>::infinity();
+      for (std::size_t m = 0; m < anchors.rows(); ++m) {
+        double sq = 0.0;
+        for (std::size_t j = 0; j < dim; ++j) {
+          const double d = static_cast<double>(fp[j]) - anchors.at(m, j);
+          sq += d * d;
+        }
+        best = std::min(best, sq);
+      }
+      return std::sqrt(best / static_cast<double>(dim));
+    };
+    for (std::size_t q = 0; q < 60; ++q) {
       std::vector<float> fp(dim);
       for (auto& v : fp)
-        v = dim == 12u ? static_cast<float>(rng.uniform(0.0, 1.0))
-                       : centers[q % 3] +
-                             static_cast<float>(rng.normal(0.0, 0.05));
-      ShardIndexProbe probe;
-      const double got = index.nearest(fp, &probe);
-      const double want = anchor_distance(anchors, fp);
-      EXPECT_EQ(got, want) << "query " << q;
-      EXPECT_EQ(probe.scanned + probe.pruned, index.num_anchors());
-      EXPECT_GE(probe.scanned, 1u);
-      scanned_total += probe.scanned;
+        v = centers[q % 3] + static_cast<float>(rng.normal(0.0, 0.05));
+      const double want = naive(fp);
+      EXPECT_NEAR(screen.distance(fp), want, 1e-12 * want) << "query " << q;
     }
-    EXPECT_LT(scanned_total, kQueries * index.num_anchors())
-        << "the centroid bound should prune at least some anchors";
+    // A query sitting on an anchor is exactly 0.
+    EXPECT_EQ(screen.distance(anchors.row(7)), 0.0);
   }
-}
-
-TEST(ShardIndex, EdgeCasesAndValidation) {
-  const ShardIndex disabled;
-  EXPECT_TRUE(disabled.empty());
-  EXPECT_EQ(disabled.num_anchors(), 0u);
-  EXPECT_THROW(disabled.nearest(std::vector<float>{0.5F}),
-               PreconditionError);
-
-  const Tensor one = Tensor::from_rows({{0.25F, 0.75F}});
-  const ShardIndex single(one);
-  ShardIndexProbe probe;
-  EXPECT_DOUBLE_EQ(single.nearest(std::vector<float>{0.25F, 0.75F}, &probe),
-                   0.0);
-  EXPECT_EQ(probe.scanned, 1u);
-  EXPECT_EQ(probe.pruned, 0u);
-  EXPECT_THROW(single.nearest(std::vector<float>{0.25F}), PreconditionError);
-  EXPECT_THROW(ShardIndex(Tensor{}), PreconditionError);
 }
 
 // ---------------------------------------------------------------------------
@@ -776,7 +774,7 @@ TEST(Service, DriftTrendFlushesShardCache) {
   for (int i = 0; i < 16; ++i)
     saw_cache_hit |= service.submit(fp).get().from_cache;
   EXPECT_TRUE(saw_cache_hit);
-  EXPECT_GT(service.cache().size(), 0u);
+  EXPECT_GT(service.cache_size(), 0u);
   EXPECT_EQ(service.stats().drift_flushes, 0u);
 
   // Synthetic drift: the whole radio map shifts by 5 dB (+0.05 on the
@@ -1156,7 +1154,6 @@ void expect_reconciled(const ServeEngine& engine) {
     sum.rejected += c.rejected;
     sum.screened += c.screened;
     sum.anchors_scanned += c.anchors_scanned;
-    sum.anchors_pruned += c.anchors_pruned;
     sum.drift_flushes += c.drift_flushes;
     sum.batches += c.batches;
     sum.largest_batch = std::max(sum.largest_batch, c.largest_batch);
@@ -1179,7 +1176,6 @@ void expect_reconciled(const ServeEngine& engine) {
   EXPECT_EQ(a.rejected, sum.rejected);
   EXPECT_EQ(a.screened, sum.screened);
   EXPECT_EQ(a.anchors_scanned, sum.anchors_scanned);
-  EXPECT_EQ(a.anchors_pruned, sum.anchors_pruned);
   EXPECT_EQ(a.drift_flushes, sum.drift_flushes);
   EXPECT_EQ(a.batches, sum.batches);
   EXPECT_EQ(a.largest_batch, sum.largest_batch);
@@ -1254,13 +1250,13 @@ TEST(Engine, RoutedBitIdenticalToSequentialAcrossHotReload) {
   for (std::size_t shard = 0; shard < stats.per_tenant.size(); ++shard) {
     const auto& t = stats.per_tenant[shard];
     completed_sum += t.stats.completed;
-    // Screening work is bounded by the shard's own anchor count — the
+    // Screening work is the shard's own anchor count per request — the
     // whole point of sharding the anchor database.
     const std::size_t shard_anchors =
-        engine.tenant_screen(t.tenant).num_anchors();
+        engine.snapshot()->find(t.tenant)->screen.num_anchors();
     EXPECT_GT(shard_anchors, 0u);
     EXPECT_EQ(t.stats.screened, t.stats.completed);
-    EXPECT_LE(t.stats.anchors_scanned, t.stats.screened * shard_anchors);
+    EXPECT_EQ(t.stats.anchors_scanned, t.stats.screened * shard_anchors);
   }
   EXPECT_EQ(completed_sum, stream.size());
 }
@@ -1549,8 +1545,8 @@ TEST(Engine, IdenticalRepublishIsNoOpFlushWise) {
   // Warm the cache and complete a drift window to pin a baseline.
   for (int i = 0; i < 6; ++i)
     submit_blocking(engine, key, row_of(x, 0)).result.get();
-  EXPECT_GT(engine.tenant_cache(key).size(), 0u);
-  const DriftTrend before = engine.tenant_drift(key);
+  EXPECT_GT(tenant_stats(engine, key).lru_size, 0u);
+  const DriftTrend before = tenant_stats(engine, key).drift;
   EXPECT_GE(before.windows_completed, 1u);
   EXPECT_GE(before.baseline_mean, 0.0);
 
@@ -1559,7 +1555,7 @@ TEST(Engine, IdenticalRepublishIsNoOpFlushWise) {
   EXPECT_TRUE(
       submit_blocking(engine, key, row_of(x, 0)).result.get().from_cache)
       << "identical republish must not flush the tenant cache";
-  const DriftTrend after = engine.tenant_drift(key);
+  const DriftTrend after = tenant_stats(engine, key).drift;
   EXPECT_EQ(after.baseline_mean, before.baseline_mean)
       << "identical republish must not reset the drift baseline";
   engine.shutdown();
@@ -1592,11 +1588,11 @@ TEST(Engine, ReloadFlushesOnlyTheReloadedTenant) {
     submit_blocking(engine, ka, row_of(xa, 0)).result.get();
     submit_blocking(engine, kb, row_of(xb, 0)).result.get();
   }
-  EXPECT_GT(engine.tenant_cache(ka).size(), 0u);
-  EXPECT_GT(engine.tenant_cache(kb).size(), 0u);
+  EXPECT_GT(tenant_stats(engine, ka).lru_size, 0u);
+  EXPECT_GT(tenant_stats(engine, kb).lru_size, 0u);
   // Two requests each complete one drift window: both baselines pinned.
-  ASSERT_EQ(engine.tenant_drift(ka).windows_completed, 1u);
-  const DriftTrend kb_before = engine.tenant_drift(kb);
+  ASSERT_EQ(tenant_stats(engine, ka).drift.windows_completed, 1u);
+  const DriftTrend kb_before = tenant_stats(engine, kb).drift;
   ASSERT_EQ(kb_before.windows_completed, 1u);
   ASSERT_GE(kb_before.baseline_mean, 0.0);
 
@@ -1609,12 +1605,12 @@ TEST(Engine, ReloadFlushesOnlyTheReloadedTenant) {
 
   // The reloaded tenant's drift trend starts over: the new radio map
   // must pin its own baseline, not be judged against the retired one.
-  const DriftTrend ka_after = engine.tenant_drift(ka);
+  const DriftTrend ka_after = tenant_stats(engine, ka).drift;
   EXPECT_EQ(ka_after.windows_completed, 0u);
   EXPECT_LT(ka_after.baseline_mean, 0.0);
   EXPECT_EQ(ka_after.partial_n, 0u);
   // The other tenant keeps its pinned baseline.
-  const DriftTrend kb_after = engine.tenant_drift(kb);
+  const DriftTrend kb_after = tenant_stats(engine, kb).drift;
   EXPECT_EQ(kb_after.windows_completed, kb_before.windows_completed);
   EXPECT_EQ(kb_after.baseline_mean, kb_before.baseline_mean);
 
