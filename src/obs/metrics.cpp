@@ -43,12 +43,13 @@ void validate_labels(const std::string& name,
 }
 
 /// Prometheus number formatting: shortest round-trip-ish decimal, +Inf
-/// spelled the way scrapers expect.
+/// spelled the way scrapers expect. The range check comes first: casting
+/// a double outside int64_t's range is undefined behaviour.
 std::string format_number(double v) {
   if (std::isinf(v)) return v > 0 ? "+Inf" : "-Inf";
   if (std::isnan(v)) return "NaN";
-  if (v == static_cast<double>(static_cast<std::int64_t>(v)) &&
-      std::fabs(v) < 1e15) {
+  if (std::fabs(v) < 1e15 &&
+      v == static_cast<double>(static_cast<std::int64_t>(v))) {
     char buf[32];
     std::snprintf(buf, sizeof(buf), "%lld",
                   static_cast<long long>(static_cast<std::int64_t>(v)));

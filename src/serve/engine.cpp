@@ -824,14 +824,6 @@ void ServeEngine::process(Claim& claim, Rng& rng) {
     if (!infer_rows.empty()) {
       const auto run_predict = [&](const Tensor& x) {
         CAL_FAULT_POINT("serve.replica_predict");
-        if (Mutex* mu = dep.shared_serialization(); mu != nullptr) {
-          // Borrowed model: predict() is not required to be thread-safe,
-          // and a reload can briefly put two deployments of the same
-          // model in flight — the registry-issued per-model mutex
-          // serializes across all of them.
-          MutexLock lock(*mu);
-          return dep.replica(claim.slot).predict(x);
-        }
         return dep.replica(claim.slot).predict(x);
       };
       const auto fill = [&](Slot& s, std::size_t rp) {

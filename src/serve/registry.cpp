@@ -59,15 +59,8 @@ std::string to_string(Precision p) {
 void ModelRegistry::validate_spec(const TenantKey& key,
                                   const TenantSpec& spec) {
   CAL_ENSURE(!key.building.empty(), "tenant key needs a building name");
-  CAL_ENSURE((spec.factory != nullptr) != (spec.shared_model != nullptr),
-             "tenant " << key.str()
-                       << " needs exactly one of factory / shared_model");
-  // Quantized replicas are publish()-owned copies; a borrowed shared
-  // model stays under the caller's control and cannot be swapped out.
-  CAL_ENSURE(spec.precision == Precision::Fp32 || spec.factory != nullptr,
-             "tenant " << key.str()
-                       << " requests int8 precision, which needs a replica "
-                          "factory (shared_model tenants serve fp32)");
+  CAL_ENSURE(spec.factory != nullptr,
+             "tenant " << key.str() << " needs a replica factory");
   CAL_ENSURE(spec.num_aps > 0, "tenant " << key.str() << " needs num_aps > 0");
   if (!spec.anchors.empty())
     CAL_ENSURE(spec.anchors.rank() == 2 &&
@@ -112,7 +105,6 @@ void ModelRegistry::reload_tenant(const TenantKey& key, TenantSpec spec) {
              "reload of unregistered tenant " << key.str());
   it->second = std::move(spec);
   versions_[key] = next_global_version();
-  prune_shared_locks();
 }
 
 void ModelRegistry::remove_tenant(const TenantKey& key) {
@@ -122,16 +114,6 @@ void ModelRegistry::remove_tenant(const TenantKey& key) {
   tenants_.erase(it);
   versions_.erase(key);
   published_.erase(key);
-  prune_shared_locks();
-}
-
-void ModelRegistry::prune_shared_locks() {
-  for (auto it = shared_locks_.begin(); it != shared_locks_.end();) {
-    if (it->second.expired())
-      it = shared_locks_.erase(it);
-    else
-      ++it;
-  }
 }
 
 void ModelRegistry::set_profile_fallbacks(std::vector<std::string> chain) {
@@ -140,16 +122,6 @@ void ModelRegistry::set_profile_fallbacks(std::vector<std::string> chain) {
 
 bool ModelRegistry::contains(const TenantKey& key) const {
   return tenants_.find(key) != tenants_.end();
-}
-
-const TenantSpec* ModelRegistry::find(const TenantKey& key) const {
-  const auto it = tenants_.find(key);
-  return it == tenants_.end() ? nullptr : &it->second;
-}
-
-std::uint64_t ModelRegistry::version(const TenantKey& key) const {
-  const auto it = versions_.find(key);
-  return it == versions_.end() ? 0 : it->second;
 }
 
 std::vector<TenantKey> ModelRegistry::keys() const {
@@ -191,47 +163,27 @@ std::shared_ptr<const DeploymentSnapshot> ModelRegistry::publish() {
     dep->lane = spec.service;
     dep->screen = build_screen(spec.anchors, spec.num_aps,
                                spec.service.screening);
-    if (spec.shared_model != nullptr) {
-      // Borrowed model: one slot per deployment, and ONE serialization
-      // mutex per underlying model across every deployment that borrows
-      // it — a reload may briefly have two snapshots in flight, and
-      // ILocalizer::predict is not required to be thread-safe.
-      dep->replicas_.push_back(spec.shared_model);
-      // Reuse the model's mutex while ANY deployment still holds it
-      // (possibly one of a since-removed tenant, in flight on an old
-      // snapshot); mint a fresh one only once every holder is gone.
-      auto& weak = shared_locks_[spec.shared_model];
-      auto lock = weak.lock();
-      if (lock == nullptr) {
-        lock = std::make_shared<Mutex>();
-        weak = lock;
+    dep->precision = spec.precision;
+    dep->replicas_.reserve(spec.service.num_workers);
+    for (std::size_t i = 0; i < spec.service.num_workers; ++i) {
+      auto replica = spec.factory();
+      CAL_ENSURE(replica != nullptr,
+                 "tenant " << key.str()
+                           << " replica factory returned nullptr for slot "
+                           << i);
+      if (spec.precision == Precision::Int8) {
+        // Snapshot the trained replica into its int8 inference copy;
+        // the fp32 original is discarded once quantization succeeds.
+        auto quantized = replica->quantize_int8();
+        CAL_ENSURE(quantized != nullptr,
+                   "tenant " << key.str() << " requests int8 but model '"
+                             << replica->name()
+                             << "' has no quantized path");
+        replica = std::move(quantized);
       }
-      dep->shared_mu_ = std::move(lock);
-    } else {
-      dep->precision = spec.precision;
-      dep->owned_.reserve(spec.service.num_workers);
-      for (std::size_t i = 0; i < spec.service.num_workers; ++i) {
-        auto replica = spec.factory();
-        CAL_ENSURE(replica != nullptr,
-                   "tenant " << key.str()
-                             << " replica factory returned nullptr for slot "
-                             << i);
-        if (spec.precision == Precision::Int8) {
-          // Snapshot the trained replica into its int8 inference copy;
-          // the fp32 original is discarded once quantization succeeds.
-          auto quantized = replica->quantize_int8();
-          CAL_ENSURE(quantized != nullptr,
-                     "tenant " << key.str() << " requests int8 but model '"
-                               << replica->name()
-                               << "' has no quantized path");
-          replica = std::move(quantized);
-        }
-        dep->owned_.push_back(std::move(replica));
-        dep->replicas_.push_back(dep->owned_.back().get());
-      }
+      dep->weight_bytes += replica->weight_bytes();
+      dep->replicas_.push_back(std::move(replica));
     }
-    for (const baselines::ILocalizer* rep : dep->replicas_)
-      dep->weight_bytes += rep->weight_bytes();
     {
       // The deployment is not shared yet, but free_slots_ is guarded by
       // slot_mu_ and the analysis (rightly) has no notion of "not yet
@@ -246,12 +198,6 @@ std::shared_ptr<const DeploymentSnapshot> ModelRegistry::publish() {
     snap->tenants_.push_back(std::move(dep));
   }
   return snap;
-}
-
-ModelRegistry::Resolution ModelRegistry::resolve(
-    const TenantKey& request) const {
-  return resolve_tenant(request, fallbacks_,
-                        [this](const TenantKey& k) { return contains(k); });
 }
 
 }  // namespace cal::serve

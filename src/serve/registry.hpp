@@ -24,12 +24,10 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
-#include "common/thread_annotations.hpp"
 #include "serve/service.hpp"
 
 namespace cal::serve {
@@ -58,9 +56,8 @@ struct TenantKeyHash {
 /// to snapshot each freshly built replica through
 /// ILocalizer::quantize_int8() — per-output-channel weight scales, fp32
 /// accumulate — so the deployment carries ~4x smaller resident weights
-/// and rides the int8 GEMM path. Requires a factory (the registry owns
-/// the quantized copies) and a model family with a quantized path;
-/// publish() throws otherwise.
+/// and rides the int8 GEMM path. Requires a model family with a
+/// quantized path; publish() throws otherwise.
 enum class Precision : std::uint8_t { Fp32, Int8 };
 
 std::string to_string(Precision p);
@@ -68,12 +65,8 @@ std::string to_string(Precision p);
 /// Everything needed to stand up one tenant's shard lane.
 struct TenantSpec {
   /// Builds one trained replica per slot (ServiceConfig::num_workers).
-  /// Exactly one of `factory` / `shared_model` must be set.
+  /// Required.
   ReplicaFactory factory;
-  /// Alternative to `factory`: borrow a caller-owned model that cannot be
-  /// replicated. The deployment then has a single replica slot, so the
-  /// engine serializes this tenant's inference (the old "shared mode").
-  baselines::ILocalizer* shared_model = nullptr;
   /// Fingerprint width of this venue. Required (> 0).
   std::size_t num_aps = 0;
   /// Shard-scoped anchor database (M x num_aps, normalised); empty
@@ -82,9 +75,8 @@ struct TenantSpec {
   /// Shard-local lane configuration: replica slots, batching, cache,
   /// screening thresholds, drift policy, admission quota, breaker.
   ServiceConfig service;
-  /// Serving precision (see Precision). Int8 is validated at
-  /// register/reload time (needs a factory) and applied at publish()
-  /// time (each replica is quantized as it is built).
+  /// Serving precision (see Precision), applied at publish() time: each
+  /// replica is quantized as it is built.
   Precision precision = Precision::Fp32;
 };
 
@@ -93,9 +85,8 @@ struct TenantSpec {
 /// engine to deploy — including mid-traffic.
 class ModelRegistry {
  public:
-  /// Register one tenant. Throws on a duplicate key, an invalid model
-  /// source (need exactly one of factory / shared_model), a zero
-  /// num_aps, or an anchor matrix that does not match num_aps.
+  /// Register one tenant. Throws on a duplicate key, a missing factory,
+  /// a zero num_aps, or an anchor matrix that does not match num_aps.
   void register_tenant(TenantKey key, TenantSpec spec);
 
   /// Replace an existing tenant's spec (e.g. a retrained model or new
@@ -112,17 +103,9 @@ class ModelRegistry {
   /// Device profiles tried, in order, when a request's exact profile has
   /// no entry. Default: {""} — fall back to the venue-generic entry only.
   void set_profile_fallbacks(std::vector<std::string> chain);
-  const std::vector<std::string>& profile_fallbacks() const {
-    return fallbacks_;
-  }
 
   std::size_t size() const { return tenants_.size(); }
   bool contains(const TenantKey& key) const;
-  const TenantSpec* find(const TenantKey& key) const;
-
-  /// This tenant's spec version: bumped by register_tenant and
-  /// reload_tenant. 0 for unknown tenants.
-  std::uint64_t version(const TenantKey& key) const;
 
   /// Registered tenant keys in deterministic (str()-sorted) order — the
   /// shard numbering every component agrees on.
@@ -140,20 +123,8 @@ class ModelRegistry {
   /// snapshot is self-contained: later registry mutations never touch it.
   std::shared_ptr<const DeploymentSnapshot> publish();
 
-  /// How a requested tenant maps onto the catalogue.
-  struct Resolution {
-    enum class Kind { Exact, Fallback, Miss };
-    Kind kind = Kind::Miss;
-    TenantKey resolved;  ///< valid unless kind == Miss
-  };
-  Resolution resolve(const TenantKey& request) const;
-
  private:
   static void validate_spec(const TenantKey& key, const TenantSpec& spec);
-  /// Drop shared_locks_ entries whose mutex no deployment holds anymore
-  /// (raw-pointer keys must not outlive every user of the model: a
-  /// recycled address would otherwise collide with the stale entry).
-  void prune_shared_locks();
 
   std::unordered_map<TenantKey, TenantSpec, TenantKeyHash> tenants_;
   std::unordered_map<TenantKey, std::uint64_t, TenantKeyHash> versions_;
@@ -161,35 +132,8 @@ class ModelRegistry {
   std::unordered_map<TenantKey, std::shared_ptr<const TenantDeployment>,
                      TenantKeyHash>
       published_;
-  /// One serialization mutex per borrowed shared model, handed to every
-  /// deployment of that model (see TenantDeployment::shared_serialization).
-  /// Weak entries: deployments own the mutex; publish() reuses it while
-  /// ANY deployment (even of a removed tenant, still in flight on an old
-  /// snapshot) keeps it alive, and mints a fresh one only after every
-  /// holder is gone — so two live deployments can never hold different
-  /// mutexes for the same model.
-  std::unordered_map<baselines::ILocalizer*, std::weak_ptr<Mutex>>
-      shared_locks_;
   std::vector<std::string> fallbacks_{std::string{}};
   std::uint64_t next_epoch_ = 0;
 };
-
-/// THE tenant-resolution policy — exact key, then the profile fallback
-/// chain, else miss — in one place, shared by ModelRegistry::resolve and
-/// DeploymentSnapshot::route (each runs it over its own key set).
-/// `contains` answers membership over whichever key set the caller holds.
-template <typename ContainsFn>
-ModelRegistry::Resolution resolve_tenant(const TenantKey& request,
-                                         std::span<const std::string> fallbacks,
-                                         ContainsFn&& contains) {
-  using Kind = ModelRegistry::Resolution::Kind;
-  if (contains(request)) return {Kind::Exact, request};
-  for (const std::string& profile : fallbacks) {
-    if (profile == request.device_profile) continue;  // already tried
-    TenantKey candidate{request.building, request.floor, profile};
-    if (contains(candidate)) return {Kind::Fallback, std::move(candidate)};
-  }
-  return {Kind::Miss, {}};
-}
 
 }  // namespace cal::serve

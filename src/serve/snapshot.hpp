@@ -94,22 +94,12 @@ class TenantDeployment {
     return *replicas_[slot];
   }
 
-  /// Non-null for borrowed shared models: the registry hands every
-  /// deployment of the same ILocalizer* the SAME mutex, so inference
-  /// stays serialized even when two snapshots of a reloaded tenant are
-  /// briefly in flight at once (slot checkout alone only serializes
-  /// within one deployment).
-  Mutex* shared_serialization() const { return shared_mu_.get(); }
-
  private:
   friend class ModelRegistry;
 
-  /// One independent trained replica per slot (raw entries may borrow a
-  /// caller-owned shared model, in which case there is exactly one slot
-  /// and the checkout discipline serializes inference on it).
-  std::vector<baselines::ILocalizer*> replicas_;
-  std::vector<std::unique_ptr<baselines::ILocalizer>> owned_;
-  std::shared_ptr<Mutex> shared_mu_;  ///< set iff borrowed model
+  /// One independent replica per slot, built by the tenant's factory at
+  /// publish(); slot checkout gives each one to one worker at a time.
+  std::vector<std::unique_ptr<baselines::ILocalizer>> replicas_;
   mutable Mutex slot_mu_;
   mutable std::vector<std::size_t> free_slots_ CAL_GUARDED_BY(slot_mu_);
   /// Per-slot quarantine flags (sized lazily on first quarantine).
@@ -136,12 +126,10 @@ class DeploymentSnapshot {
 
   const TenantDeployment* find(const TenantKey& key) const;
 
-  /// Exact → profile-fallback-chain → deterministic reject, over this
-  /// snapshot's key set (resolve_tenant, the one policy shared with
-  /// ModelRegistry::resolve).
+  /// Exact key → profile fallback chain → deterministic reject, over
+  /// this snapshot's key set. The one routing policy: submit() runs it
+  /// for every request.
   RouteDecision route(const TenantKey& request) const;
-
-  const std::vector<std::string>& fallbacks() const { return fallbacks_; }
 
  private:
   friend class ModelRegistry;

@@ -434,6 +434,32 @@ TEST(Metrics, JsonExport) {
   EXPECT_NE(json.find("\"buckets\":["), std::string::npos);
 }
 
+TEST(Metrics, ValuesPastInt64RangeFormatInBothEncodings) {
+  // |v| >= 2^63 has no int64_t value: the integer shortcut must not cast
+  // it (undefined behaviour, caught by UBSan's float-cast-overflow).
+  MetricsRegistry reg;
+  reg.add_gauge("cal_test_huge", "Huge", {{"sign", "pos"}}, 1e20);
+  reg.add_gauge("cal_test_huge", "Huge", {{"sign", "neg"}}, -1e20);
+  Histogram h;
+  h.record(1e19);
+  h.record(1e19);
+  ASSERT_GT(h.sum(), std::ldexp(1.0, 63));
+  reg.add_histogram("cal_test_big", "Big", {}, h);
+
+  const std::string text = reg.prometheus_text();
+  EXPECT_NE(text.find("cal_test_huge{sign=\"pos\"} 1e+20\n"),
+            std::string::npos);
+  EXPECT_NE(text.find("cal_test_huge{sign=\"neg\"} -1e+20\n"),
+            std::string::npos);
+  EXPECT_NE(text.find("cal_test_big_sum 2e+19\n"), std::string::npos);
+  EXPECT_NE(text.find("cal_test_big_count 2\n"), std::string::npos);
+
+  const std::string json = reg.json();
+  EXPECT_NE(json.find("\"value\":1e+20"), std::string::npos);
+  EXPECT_NE(json.find("\"value\":-1e+20"), std::string::npos);
+  EXPECT_NE(json.find("\"sum\":2e+19"), std::string::npos);
+}
+
 TEST(Metrics, FindMatchesLabelSubset) {
   MetricsRegistry reg;
   reg.add_counter("cal_test_total", "Total",

@@ -299,6 +299,30 @@ TEST(Screening, CalibrationBoundsCleanData) {
 // Single-tenant serving (a ServeEngine whose fleet is one tenant)
 // ---------------------------------------------------------------------------
 
+/// Replica that forwards every call to a test-owned localizer, so what
+/// the test holds (a gate and its promises, a model it fitted) serves.
+class ForwardingLocalizer : public baselines::ILocalizer {
+ public:
+  explicit ForwardingLocalizer(baselines::ILocalizer& target)
+      : target_(target) {}
+  void fit(const data::FingerprintDataset& train) override {
+    target_.fit(train);
+  }
+  std::vector<std::size_t> predict(const Tensor& x) override {
+    return target_.predict(x);
+  }
+  std::string name() const override { return target_.name(); }
+
+ private:
+  baselines::ILocalizer& target_;
+};
+
+/// Factory whose replicas all forward to `target`. Pair it with
+/// num_workers = 1: one slot, so one worker at a time calls `target`.
+ReplicaFactory forward_to(baselines::ILocalizer& target) {
+  return [&target] { return std::make_unique<ForwardingLocalizer>(target); };
+}
+
 /// Test-local harness: the retired SingleTenantHarness shim, reduced to
 /// the surface these tests exercise. Registers ONE tenant ("default")
 /// and forwards the blocking single-queue calls to a private ServeEngine
@@ -309,18 +333,6 @@ class SingleTenantHarness {
                       Tensor anchors, const ServiceConfig& cfg) {
     TenantSpec spec;
     spec.factory = std::move(factory);
-    spec.num_aps = num_aps;
-    spec.anchors = std::move(anchors);
-    spec.service = cfg;
-    init(std::move(spec), cfg);
-  }
-
-  /// Shared mode: one caller-owned model, a single replica slot.
-  SingleTenantHarness(baselines::ILocalizer& shared_model,
-                      std::size_t num_aps, Tensor anchors,
-                      const ServiceConfig& cfg) {
-    TenantSpec spec;
-    spec.shared_model = &shared_model;
     spec.num_aps = num_aps;
     spec.anchors = std::move(anchors);
     spec.service = cfg;
@@ -400,23 +412,6 @@ TEST(Service, ConcurrentBatchedMatchesSequentialBitIdentical) {
   EXPECT_LE(stats.latency_p50_ms, stats.latency_p95_ms);
   EXPECT_LE(stats.latency_p95_ms, stats.latency_p99_ms);
   EXPECT_GT(stats.throughput_rps, 0.0);
-}
-
-TEST(Service, SharedModeSerializesOneModel) {
-  const auto& test = scenario().device_tests.front();
-  const Tensor x = test.normalized();
-  const auto expected = trained().model.predict(x);
-
-  ServiceConfig cfg;
-  cfg.num_workers = 2;
-  cfg.max_batch = 4;
-  SingleTenantHarness service(trained().model, test.num_aps(), Tensor{},
-                              cfg);
-  std::vector<std::future<ServeResult>> futs;
-  for (std::size_t i = 0; i < x.rows(); ++i)
-    futs.push_back(service.submit(row_of(x, i)));
-  for (std::size_t i = 0; i < futs.size(); ++i)
-    EXPECT_EQ(futs[i].get().rp, expected[i]) << "row " << i;
 }
 
 TEST(Service, MicroBatchingCoalescesBacklog) {
@@ -520,7 +515,7 @@ TEST(Service, ScreeningFlagsPgdTrafficMoreThanClean) {
 TEST(Service, ValidatesInputsAndShutdownIsFinal) {
   ServiceConfig cfg;
   cfg.num_workers = 1;
-  SingleTenantHarness service(trained().model,
+  SingleTenantHarness service(forward_to(trained().model),
                               scenario().train.num_aps(), Tensor{}, cfg);
   EXPECT_THROW(service.submit(std::vector<float>{0.5F}), PreconditionError);
   // Non-finite fingerprints from the untrusted channel are rejected at
@@ -540,16 +535,17 @@ TEST(Service, ValidatesInputsAndShutdownIsFinal) {
 
   ServiceConfig bad;
   bad.num_workers = 0;
-  EXPECT_THROW(SingleTenantHarness(trained().model, 24, Tensor{}, bad),
-               PreconditionError);
+  EXPECT_THROW(
+      SingleTenantHarness(forward_to(trained().model), 24, Tensor{}, bad),
+      PreconditionError);
 
   // A drift policy without an anchor screen would be silently inert
   // (drift feeds on screening distances) — rejected at construction.
   ServiceConfig inert_drift;
   inert_drift.drift.window = 8;
-  EXPECT_THROW(
-      SingleTenantHarness(trained().model, 24, Tensor{}, inert_drift),
-      PreconditionError);
+  EXPECT_THROW(SingleTenantHarness(forward_to(trained().model), 24,
+                                   Tensor{}, inert_drift),
+               PreconditionError);
 }
 
 // ---------------------------------------------------------------------------
@@ -764,7 +760,7 @@ TEST(Service, DriftTrendFlushesShardCache) {
   cfg.drift.slope_factor = 1.5;
   // Screen enabled with accept-everything thresholds: we want distances
   // recorded, not verdicts issued.
-  SingleTenantHarness service(knn, train.num_aps(),
+  SingleTenantHarness service(forward_to(knn), train.num_aps(),
                               anchor_database_from(train), cfg);
 
   const auto fp = row_of(x, 0);
@@ -813,25 +809,26 @@ TEST(Registry, ResolvesExactFallbackAndMiss) {
   reg.register_tenant({"B", 0, ""}, dummy_spec());
   reg.set_profile_fallbacks({"OP3", ""});
   EXPECT_EQ(reg.size(), 3u);
+  const auto snap = reg.publish();
 
-  const auto exact = reg.resolve({"A", 0, "OP3"});
-  EXPECT_EQ(exact.kind, ModelRegistry::Resolution::Kind::Exact);
+  const auto exact = snap->route({"A", 0, "OP3"});
+  EXPECT_EQ(exact.status, RouteDecision::Status::Exact);
   EXPECT_EQ(exact.resolved, (TenantKey{"A", 0, "OP3"}));
 
   // Unknown profile walks the chain to the venue's OP3 model...
-  const auto fb = reg.resolve({"A", 0, "S7"});
-  EXPECT_EQ(fb.kind, ModelRegistry::Resolution::Kind::Fallback);
+  const auto fb = snap->route({"A", 0, "S7"});
+  EXPECT_EQ(fb.status, RouteDecision::Status::Fallback);
   EXPECT_EQ(fb.resolved, (TenantKey{"A", 0, "OP3"}));
   // ...or to the venue-generic entry when there is no OP3 model.
-  const auto generic = reg.resolve({"B", 0, "S7"});
-  EXPECT_EQ(generic.kind, ModelRegistry::Resolution::Kind::Fallback);
+  const auto generic = snap->route({"B", 0, "S7"});
+  EXPECT_EQ(generic.status, RouteDecision::Status::Fallback);
   EXPECT_EQ(generic.resolved, (TenantKey{"B", 0, ""}));
 
   // Unknown building and unknown floor are misses, not guesses.
-  EXPECT_EQ(reg.resolve({"C", 0, "OP3"}).kind,
-            ModelRegistry::Resolution::Kind::Miss);
-  EXPECT_EQ(reg.resolve({"A", 7, "OP3"}).kind,
-            ModelRegistry::Resolution::Kind::Miss);
+  EXPECT_EQ(snap->route({"C", 0, "OP3"}).status,
+            RouteDecision::Status::Reject);
+  EXPECT_EQ(snap->route({"A", 7, "OP3"}).status,
+            RouteDecision::Status::Reject);
 }
 
 TEST(Registry, ValidatesSpecsAndRejectsDuplicates) {
@@ -1373,7 +1370,7 @@ TEST(Engine, QueueFullIsTypedAndQuotaStallsAreNotBilledAsLatency) {
 
   ModelRegistry reg;
   TenantSpec spec;
-  spec.shared_model = &gate;
+  spec.factory = forward_to(gate);
   spec.num_aps = kTinyAps;
   spec.service.num_workers = 1;  // one slot, engine serializes on it
   spec.service.max_batch = 1;
@@ -1437,7 +1434,7 @@ TEST(Engine, PublishWhileQueueNonEmptyServesQueuedOnNewSnapshot) {
 
   ModelRegistry reg;
   TenantSpec spec;
-  spec.shared_model = &gate;
+  spec.factory = forward_to(gate);
   spec.num_aps = kTinyAps;
   spec.service.num_workers = 1;
   spec.service.max_batch = 1;
@@ -1655,7 +1652,7 @@ TEST(Engine, RemovedTenantFailsQueuedAndRejectsNew) {
 
   ModelRegistry reg;
   TenantSpec doomed;
-  doomed.shared_model = &gate;
+  doomed.factory = forward_to(gate);
   doomed.num_aps = kTinyAps;
   doomed.service.num_workers = 1;
   doomed.service.max_batch = 1;
@@ -1729,9 +1726,9 @@ TEST(Engine, RouteStatusesAgreeWithRegistryRouter) {
   EXPECT_EQ(rej.decision.status, RouteDecision::Status::Reject);
   EXPECT_FALSE(rej.result.get().localized);
 
-  // The registry's catalogue resolution and the published snapshot's
-  // routing agree with the live engine, decision for decision: all three
-  // run resolve_tenant over the same key set.
+  // The published snapshot's offline routing agrees with the live
+  // engine, decision for decision: submit() routes through the same
+  // DeploymentSnapshot::route.
   const std::pair<const EngineSubmission*, TenantKey> sent[] = {
       {&exact, {"venue-a", 0, "OP3"}},
       {&fb, {"venue-a", 0, "S7"}},
@@ -1739,17 +1736,10 @@ TEST(Engine, RouteStatusesAgreeWithRegistryRouter) {
   for (const auto& [sub, key] : sent) {
     const RouteDecision offline = snap->route(key);
     EXPECT_EQ(offline.status, sub->decision.status) << key.str();
-    const auto res = reg.resolve(key);
-    if (offline.status == RouteDecision::Status::Reject) {
-      EXPECT_EQ(res.kind, ModelRegistry::Resolution::Kind::Miss);
-      continue;
-    }
+    if (offline.status == RouteDecision::Status::Reject) continue;
     EXPECT_EQ(offline.shard, sub->decision.shard) << key.str();
     EXPECT_EQ(offline.resolved, sub->decision.resolved) << key.str();
     EXPECT_EQ(snap->tenant(offline.shard).key, offline.resolved);
-    EXPECT_EQ(res.resolved, offline.resolved) << key.str();
-    EXPECT_EQ(res.kind == ModelRegistry::Resolution::Kind::Exact,
-              offline.status == RouteDecision::Status::Exact);
   }
 
   engine.shutdown();
@@ -2072,7 +2062,7 @@ TEST(Engine, StatsCarriesTheLiveGaugesMetricsExports) {
   GateLocalizer gate(open_gate.get_future().share(), 7, &entered);
   ModelRegistry reg;
   TenantSpec spec;
-  spec.shared_model = &gate;
+  spec.factory = forward_to(gate);
   spec.num_aps = kTinyAps;
   spec.service.num_workers = 1;
   spec.service.max_batch = 1;
@@ -2238,22 +2228,78 @@ TEST(Engine, MixedPrecisionTenantsCoexist) {
 }
 
 TEST(Registry, Int8PrecisionRequiresAFactory) {
-  // Borrowed shared models cannot be swapped for quantized copies — the
-  // registry must refuse the combination at registration time.
-  ConstLocalizer shared(1);
-  TenantSpec spec;
-  spec.shared_model = &shared;
-  spec.num_aps = kTinyAps;
-  spec.service.num_workers = 1;
-  spec.precision = Precision::Int8;
+  // A factory whose models lack a quantized path fails at publish().
   ModelRegistry reg;
-  EXPECT_THROW(reg.register_tenant({"venue-q", 0, ""}, std::move(spec)),
-               PreconditionError);
-  // And a factory whose models lack a quantized path fails at publish().
   TenantSpec no_path = const_spec(1);
   no_path.precision = Precision::Int8;
   reg.register_tenant({"venue-q", 0, ""}, std::move(no_path));
   EXPECT_THROW(reg.publish(), PreconditionError);
+}
+
+/// ConstLocalizer that reports a resident weight footprint.
+class WeighedLocalizer : public ConstLocalizer {
+ public:
+  explicit WeighedLocalizer(std::size_t bytes)
+      : ConstLocalizer(1), bytes_(bytes) {}
+  std::size_t weight_bytes() const override { return bytes_; }
+
+ private:
+  std::size_t bytes_;
+};
+
+TEST(Registry, PublishBuildsOneReplicaPerSlotOnlyForChangedTenants) {
+  // Each factory run counts itself and sizes its replica by that count,
+  // so every replica of a tenant reports a different footprint.
+  const auto counting_spec = [](std::size_t& runs, std::size_t slots) {
+    TenantSpec spec = const_spec(1, slots);
+    spec.factory = [&runs] {
+      ++runs;
+      return std::make_unique<WeighedLocalizer>(100 * runs);
+    };
+    return spec;
+  };
+  const auto expect_own_replicas = [](const TenantDeployment& dep,
+                                      std::size_t slots) {
+    ASSERT_EQ(dep.slots(), slots) << dep.key.str();
+    std::set<const baselines::ILocalizer*> distinct;
+    std::size_t bytes = 0;
+    for (std::size_t i = 0; i < slots; ++i) {
+      distinct.insert(&dep.replica(i));
+      bytes += dep.replica(i).weight_bytes();
+    }
+    EXPECT_EQ(distinct.size(), slots) << dep.key.str();
+    EXPECT_GT(bytes, 0u);
+    EXPECT_EQ(dep.weight_bytes, bytes) << dep.key.str();
+  };
+  const TenantKey a{"venue-a", 0, ""};
+  const TenantKey b{"venue-b", 0, ""};
+  std::size_t runs_a = 0;
+  std::size_t runs_b = 0;
+  ModelRegistry reg;
+  reg.register_tenant(a, counting_spec(runs_a, 2));
+  reg.register_tenant(b, counting_spec(runs_b, 3));
+
+  const auto first = reg.publish();
+  EXPECT_EQ(runs_a, 2u);
+  EXPECT_EQ(runs_b, 3u);
+  expect_own_replicas(*first->find(a), 2);
+  expect_own_replicas(*first->find(b), 3);
+
+  // An identical republish runs no factory and shares both deployments.
+  const auto again = reg.publish();
+  EXPECT_EQ(runs_a, 2u);
+  EXPECT_EQ(runs_b, 3u);
+  EXPECT_EQ(again->find(a), first->find(a));
+  EXPECT_EQ(again->find(b), first->find(b));
+
+  // Reloading one tenant re-runs that tenant's factory and no other.
+  reg.reload_tenant(b, counting_spec(runs_b, 3));
+  const auto reloaded = reg.publish();
+  EXPECT_EQ(runs_a, 2u);
+  EXPECT_EQ(runs_b, 6u);
+  EXPECT_EQ(reloaded->find(a), first->find(a));
+  EXPECT_NE(reloaded->find(b), first->find(b));
+  expect_own_replicas(*reloaded->find(b), 3);
 }
 
 TEST(Engine, FlightRecorderTimelineSpansDeploy) {
@@ -2447,7 +2493,7 @@ TEST(Engine, DeadlineExpiredRequestsShedAtDequeue) {
   GateLocalizer gate(open_gate.get_future().share(), 7, &entered);
   ModelRegistry reg;
   TenantSpec spec;
-  spec.shared_model = &gate;
+  spec.factory = forward_to(gate);
   spec.num_aps = kTinyAps;
   spec.service.num_workers = 1;
   spec.service.max_batch = 1;
@@ -2785,7 +2831,7 @@ TEST(Engine, ShutdownFailsQueuedRequestsTyped) {
   GateLocalizer gate(open_gate.get_future().share(), 3, &entered);
   ModelRegistry reg;
   TenantSpec spec;
-  spec.shared_model = &gate;
+  spec.factory = forward_to(gate);
   spec.num_aps = kTinyAps;
   spec.service.num_workers = 1;
   spec.service.max_batch = 1;
