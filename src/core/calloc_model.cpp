@@ -288,20 +288,6 @@ std::span<const std::size_t> CallocModel::anchor_labels() const {
   return anchor_labels_;
 }
 
-Tensor CallocModel::anchor_rows(std::span<const std::size_t> rows) const {
-  CAL_ENSURE(anchors_ != nullptr, "no anchors installed");
-  CAL_ENSURE(!rows.empty(), "anchor_rows needs at least one row");
-  const Tensor& all = anchors_->value();
-  Tensor out = Tensor::uninitialized({rows.size(), all.cols()});
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    CAL_ENSURE(rows[i] < all.rows(),
-               "anchor row " << rows[i] << " out of " << all.rows());
-    const auto src = all.row(rows[i]);
-    std::copy(src.begin(), src.end(), out.row(i).begin());
-  }
-  return out;
-}
-
 namespace {
 
 std::size_t count_params(nn::Module& m) {

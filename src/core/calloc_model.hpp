@@ -153,12 +153,6 @@ class CallocModel : public nn::Module {
   /// RP label of each anchor row (size == num_anchors()).
   std::span<const std::size_t> anchor_labels() const;
 
-  /// Shard-scoped copy of selected anchor rows — the per-shard anchor
-  /// database a multi-tenant deployment hands to each serving lane (e.g.
-  /// one floor's anchors out of a building-wide model), so screening
-  /// scans only that shard's manifold.
-  Tensor anchor_rows(std::span<const std::size_t> rows) const;
-
   /// Parameter-count breakdown mirroring the paper's §V.A audit.
   std::size_t embedding_parameter_count();
   std::size_t attention_parameter_count();

@@ -1,27 +1,15 @@
 #include "kernels/gemm.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <chrono>
 #include <cstdint>
-#include <functional>
-#include <mutex>
-#include <thread>
 #include <vector>
 
 #include "common/ensure.hpp"
 #include "common/hot_path_annotations.hpp"
-#include "common/thread_annotations.hpp"
 #include "kernels/gemm_arch.hpp"
 
 namespace cal::kernels {
 namespace {
-
-constexpr std::size_t kMR = 6;    // fp32 row granule; must match kernel body
-constexpr std::size_t kMRs8 = 4;  // int8 row granule; must match kernel body
-
-// Minimum 2·m·k·n before the thread pool is worth its synchronisation.
-constexpr double kParallelMinFlops = 4.0e6;
 
 // --- ISA dispatch ---------------------------------------------------------
 
@@ -61,193 +49,6 @@ const GemmS8Ops& s8() {
     return &arch_base::s8_ops();
   }();
   return ops;
-}
-
-// --- persistent thread pool (row-block fork/join) -------------------------
-
-class Pool {
- public:
-  explicit Pool(std::size_t workers) {
-    threads_.reserve(workers);
-    for (std::size_t i = 0; i < workers; ++i)
-      threads_.emplace_back(&Pool::loop, this);
-  }
-
-  ~Pool() {
-    {
-      MutexLock lk(mu_);
-      stop_ = true;
-    }
-    cv_work_.notify_all();
-    for (auto& t : threads_) t.join();
-  }
-
-  std::size_t workers() const { return threads_.size(); }
-
-  /// Run fn(0..tasks-1) across the pool; the caller participates too.
-  void run(std::size_t tasks, const std::function<void(std::size_t)>& fn)
-      CAL_EXCLUDES(mu_) {
-    // Local copy of the task bound: the caller's claim loop below runs
-    // outside the lock, and end_ is guarded state owned by the job the
-    // workers see.
-    const std::size_t end = tasks;
-    {
-      MutexLock lk(mu_);
-      job_ = &fn;
-      next_.store(0, std::memory_order_relaxed);
-      end_ = tasks;
-      pending_ = threads_.size();
-      ++generation_;
-    }
-    cv_work_.notify_all();
-    for (std::size_t t;
-         (t = next_.fetch_add(1, std::memory_order_relaxed)) < end;)
-      fn(t);
-    MutexLock lk(mu_);
-    while (pending_ != 0) cv_done_.wait(mu_);
-    job_ = nullptr;
-  }
-
- private:
-  void loop() CAL_EXCLUDES(mu_) {
-    std::uint64_t seen = 0;
-    for (;;) {
-      const std::function<void(std::size_t)>* job = nullptr;
-      std::size_t end = 0;
-      {
-        MutexLock lk(mu_);
-        while (!stop_ && generation_ == seen) cv_work_.wait(mu_);
-        if (stop_) return;
-        seen = generation_;
-        job = job_;
-        end = end_;
-      }
-      for (std::size_t t;
-           (t = next_.fetch_add(1, std::memory_order_relaxed)) < end;)
-        (*job)(t);
-      {
-        MutexLock lk(mu_);
-        if (--pending_ == 0) cv_done_.notify_one();
-      }
-    }
-  }
-
-  Mutex mu_;
-  CondVar cv_work_;
-  CondVar cv_done_;
-  std::vector<std::thread> threads_;
-  const std::function<void(std::size_t)>* job_ CAL_GUARDED_BY(mu_) = nullptr;
-  std::atomic<std::size_t> next_{0};
-  std::size_t end_ CAL_GUARDED_BY(mu_) = 0;
-  std::size_t pending_ CAL_GUARDED_BY(mu_) = 0;
-  std::uint64_t generation_ CAL_GUARDED_BY(mu_) = 0;
-  bool stop_ CAL_GUARDED_BY(mu_) = false;
-};
-
-Pool& pool() {
-  static Pool p(std::min<std::size_t>(
-      15, std::max<std::size_t>(1, std::thread::hardware_concurrency()) - 1));
-  return p;
-}
-
-// The fork/join pool state (job_/next_/end_/pending_) supports one running
-// job; a second concurrent GEMM must not join it. try_lock keeps whichever
-// caller loses the race on the serial path instead of blocking — results
-// are bit-identical either way, and callers like multi-worker serving
-// already parallelise above the kernel.
-//
-// Deliberately a plain std::mutex, outside the thread-safety analysis: the
-// gate guards no data beyond the pool-owned packing scratch below (whose
-// lifetime is exactly a pool job), only which caller gets to run one, and
-// a conditionally-held RAII try-lock is a shape the analysis cannot
-// express without NO_THREAD_SAFETY_ANALYSIS escapes.
-std::mutex& pool_gate() {
-  static std::mutex gate;
-  return gate;
-}
-
-// Pool-owned packed-B scratch, reused across parallel GEMMs (guarded by
-// pool_gate: only the gate holder packs into and reads from it). Packing
-// once here and letting every row-split task read the shared image removes
-// the per-task re-pack tax.
-std::vector<float>& shared_bpack_f32() {
-  static std::vector<float> buf;
-  return buf;
-}
-
-// Annotation-audit note (PR 9 int8 panel, reviewed with the PR 6 code):
-// like the fp32 buffer above, this is a function-local static guarded by
-// the pool_gate() *protocol*, not by a CAL_GUARDED_BY annotation — Clang
-// TSA attributes attach to member/global declarations and cannot name a
-// block-scope static behind an accessor, and the guarding acquisition is
-// the deliberately-unannotated try-lock gate. The row-split tasks that
-// share the packed image only ever read it while their spawning caller
-// holds the gate across pool().run() (the tasks are joined before the
-// gate is released), so the TSan CI job exercises exactly this sharing.
-std::vector<std::int8_t>& shared_bpack_s8() {
-  static std::vector<std::int8_t> buf;
-  return buf;
-}
-
-std::atomic<std::size_t> g_max_threads{1};
-
-// --- pool telemetry -------------------------------------------------------
-
-// One mutexed accumulator for the whole pool. Only the parallel path
-// touches it (a handful of lock hops per >=4 MFlop GEMM); the serial path
-// — including every small serving matmul — records nothing.
-struct PoolMetricsState {
-  mutable Mutex mu;
-  std::size_t parallel_gemms CAL_GUARDED_BY(mu) = 0;
-  std::size_t serial_fallbacks CAL_GUARDED_BY(mu) = 0;
-  std::size_t tasks CAL_GUARDED_BY(mu) = 0;
-  obs::Histogram task_ms CAL_GUARDED_BY(mu);
-};
-
-PoolMetricsState& pool_metrics_state() {
-  static PoolMetricsState s;
-  return s;
-}
-
-void note_serial_fallback() {
-  PoolMetricsState& pm = pool_metrics_state();
-  MutexLock lk(pm.mu);
-  ++pm.serial_fallbacks;
-}
-
-void note_parallel_gemm() {
-  PoolMetricsState& pm = pool_metrics_state();
-  MutexLock lk(pm.mu);
-  ++pm.parallel_gemms;
-}
-
-// Wrap a pool task with wall-time telemetry. This is the GEMM pool task
-// body: everything a worker runs per task goes through here, so the
-// hot-path contract is anchored on it (the metrics mutex is a bounded
-// critical section, which CAL_HOT_PATH permits).
-template <typename Fn>
-CAL_HOT_PATH
-void timed_task(const Fn& fn) {
-  const auto t0 = std::chrono::steady_clock::now();
-  fn();
-  const double ms = std::chrono::duration<double, std::milli>(
-                        std::chrono::steady_clock::now() - t0)
-                        .count();
-  PoolMetricsState& pm = pool_metrics_state();
-  MutexLock lk(pm.mu);
-  ++pm.tasks;
-  pm.task_ms.record(ms);
-}
-
-// Split `m` rows into at most `want` granule-aligned chunks: one task per
-// permitted thread, so set_max_threads(n) really caps concurrency (a finer
-// split would let idle pool workers steal extra tasks). Each chunk is an
-// independent sub-GEMM: the k reduction order per output element is
-// untouched, so any split is bit-identical to serial.
-std::size_t row_chunk(std::size_t m, std::size_t granule, std::size_t want) {
-  const std::size_t blocks = (m + granule - 1) / granule;
-  const std::size_t chunk_blocks = (blocks + want - 1) / want;
-  return chunk_blocks * granule;
 }
 
 // --- fp32 block loop -----------------------------------------------------
@@ -307,77 +108,35 @@ const float* block_panels(const GemmF32Ops& ops, const Rhs& rhs,
   return scratch;
 }
 
+thread_local std::vector<float> t_bpack;
+
 // Audited: the per-thread B-packing scratch grows once to one cache block
 // and is reused for every later GEMM on that thread. A pre-packed operand
 // never touches it.
 CAL_LINT_SUPPRESS(alloc, "thread-local packing scratch grows once, then reused")
-float* bpack_scratch(const GemmF32Ops& ops, const Rhs& rhs,
-                     std::vector<float>& buf) {
+float* bpack_scratch(const GemmF32Ops& ops, const Rhs& rhs) {
   if (rhs.packed != nullptr) return nullptr;
   const std::size_t need = ops.block_kc * ops.block_nc;
-  if (buf.size() < need) buf.resize(need);
-  return buf.data();
+  if (t_bpack.size() < need) t_bpack.resize(need);
+  return t_bpack.data();
 }
 
-thread_local std::vector<float> t_bpack;
-
-// Rows [i_begin, i_end) of C (+)= op(A)·op(B) on the calling thread.
+// C (+)= op(A)·op(B) over all m rows, on the calling thread.
 void gemm_rows(const GemmF32Ops& ops, const float* a, const Rhs& rhs,
-               float* c, std::size_t k, std::size_t n, std::size_t lda,
-               std::size_t ldc, bool ta, bool accumulate,
-               std::size_t i_begin, std::size_t i_end) {
-  float* scratch = bpack_scratch(ops, rhs, t_bpack);
+               float* c, std::size_t m, std::size_t k, std::size_t n,
+               std::size_t lda, std::size_t ldc, bool ta, bool accumulate) {
+  float* scratch = bpack_scratch(ops, rhs);
   for_each_block(ops, k, n, accumulate, [&](const Block& blk) {
     ops.gemm_rows_prepacked(a, block_panels(ops, rhs, k, blk, scratch), c,
                             lda, ldc, ta, blk.acc, blk.p0, blk.kc, blk.j0,
-                            blk.nc, i_begin, i_end);
+                            blk.nc, m);
   });
 }
 
-// --- fp32 dispatch --------------------------------------------------------
-
-// Audited: pool().run() parks the caller on cv_done_ until the row tasks
-// finish — a *bounded* synchronous fan-out/join over pure compute, by
-// design since PR 3 (serial fallback exists; bench_kernels gates the
-// speedup). The try_to_lock pool gate itself never blocks.
-CAL_LINT_SUPPRESS(block, "pool fan-out joins bounded compute tasks; synchronous by design")
+// A dense GEMM: the leading dimensions are the stored row widths of A and C.
 void gemm_impl(const float* a, const Rhs& rhs, float* c, std::size_t m,
                std::size_t k, std::size_t n, bool ta, bool accumulate) {
-  const GemmF32Ops& ops = f32();
-  // Dense leading dimensions: the stored row widths of A and C.
-  const std::size_t lda = ta ? m : k;
-  const std::size_t ldc = n;
-  const std::size_t mt = max_threads();
-  const double flops = 2.0 * static_cast<double>(m) * static_cast<double>(k) *
-                       static_cast<double>(n);
-  if (mt > 1 && flops >= kParallelMinFlops && m > kMR) {
-    std::unique_lock gate(pool_gate(), std::try_to_lock);
-    if (gate.owns_lock()) {
-      const std::size_t want = std::min(mt, pool().workers() + 1);
-      const std::size_t chunk = row_chunk(m, kMR, want);
-      const std::size_t tasks = (m + chunk - 1) / chunk;
-      float* scratch = bpack_scratch(ops, rhs, shared_bpack_f32());
-      // Drive the block loop here so each block of B is packed ONCE (or
-      // read pre-packed) and every row task reads the same panels. Same
-      // block order and per-element reduction order as the serial path,
-      // so the result is bit-identical to gemm_rows over [0, m).
-      for_each_block(ops, k, n, accumulate, [&](const Block& blk) {
-        const float* panels = block_panels(ops, rhs, k, blk, scratch);
-        pool().run(tasks, [&](std::size_t t) {
-          timed_task([&] {
-            const std::size_t i_begin = t * chunk;
-            ops.gemm_rows_prepacked(a, panels, c, lda, ldc, ta, blk.acc,
-                                    blk.p0, blk.kc, blk.j0, blk.nc, i_begin,
-                                    std::min(m, i_begin + chunk));
-          });
-        });
-      });
-      note_parallel_gemm();
-      return;
-    }
-    note_serial_fallback();
-  }
-  gemm_rows(ops, a, rhs, c, k, n, lda, ldc, ta, accumulate, 0, m);
+  gemm_rows(f32(), a, rhs, c, m, k, n, ta ? m : k, n, ta, accumulate);
 }
 
 void check_args(std::span<const float> a, std::span<const float> b,
@@ -457,7 +216,6 @@ void check_batched(std::span<const float> a, std::span<const float> b,
                                      << need_c);
 }
 
-CAL_LINT_SUPPRESS(block, "pool fan-out joins bounded compute tasks; synchronous by design")
 void gemm_batched_impl(const float* a, const float* b, float* c,
                        std::size_t batch, std::size_t m, std::size_t k,
                        std::size_t n, const ResolvedStrides& r, bool ta,
@@ -471,39 +229,9 @@ void gemm_batched_impl(const float* a, const float* b, float* c,
     return;
   }
   const GemmF32Ops& ops = f32();
-  const auto item = [&](std::size_t e, std::size_t i_begin,
-                        std::size_t i_end) {
+  for (std::size_t e = 0; e < batch; ++e)
     gemm_rows(ops, a + e * r.stride_a, Rhs{b + e * r.stride_b, r.ldb, tb},
-              c + e * r.stride_c, k, n, r.lda, r.ldc, ta, accumulate,
-              i_begin, i_end);
-  };
-  const std::size_t mt = max_threads();
-  const double flops = 2.0 * static_cast<double>(batch) *
-                       static_cast<double>(m) * static_cast<double>(k) *
-                       static_cast<double>(n);
-  if (mt > 1 && flops >= kParallelMinFlops && batch * m > kMR) {
-    std::unique_lock gate(pool_gate(), std::try_to_lock);
-    if (gate.owns_lock()) {
-      // Parallelise across batch x row-chunks: each task is one row slice
-      // of one batch item, self-packing its own B view (items have
-      // distinct B matrices, so there is no shared panel to exploit).
-      const std::size_t want = std::min(mt, pool().workers() + 1);
-      const std::size_t per_item = (want + batch - 1) / batch;
-      const std::size_t chunk = row_chunk(m, kMR, per_item);
-      const std::size_t chunks = (m + chunk - 1) / chunk;
-      note_parallel_gemm();
-      pool().run(batch * chunks, [&](std::size_t t) {
-        timed_task([&] {
-          const std::size_t e = t / chunks;
-          const std::size_t i_begin = (t % chunks) * chunk;
-          item(e, i_begin, std::min(m, i_begin + chunk));
-        });
-      });
-      return;
-    }
-    note_serial_fallback();
-  }
-  for (std::size_t e = 0; e < batch; ++e) item(e, 0, m);
+              c + e * r.stride_c, m, k, n, r.lda, r.ldc, ta, accumulate);
 }
 
 // --- int8 dispatch --------------------------------------------------------
@@ -532,7 +260,6 @@ void check_args_s8(std::span<const std::int8_t> a,
                                                          << n);
 }
 
-CAL_LINT_SUPPRESS(block, "pool fan-out joins bounded compute tasks; synchronous by design")
 void gemm_s8_impl(const std::int8_t* a, const std::int8_t* b, float* c,
                   std::size_t m, std::size_t k, std::size_t n,
                   const float* scale_a, const float* scale_b, bool tb,
@@ -543,35 +270,10 @@ void gemm_s8_impl(const std::int8_t* a, const std::int8_t* b, float* c,
   }
   const GemmS8Ops& ops = s8();
   const std::size_t packed = ops.packed_b_bytes(k, n);
-  const std::size_t mt = max_threads();
-  const double flops = 2.0 * static_cast<double>(m) * static_cast<double>(k) *
-                       static_cast<double>(n);
-  if (mt > 1 && flops >= kParallelMinFlops && m > kMRs8) {
-    std::unique_lock gate(pool_gate(), std::try_to_lock);
-    if (gate.owns_lock()) {
-      std::vector<std::int8_t>& bpack = shared_bpack_s8();
-      if (bpack.size() < packed) bpack.resize(packed);
-      ops.pack_b(b, k, n, tb, bpack.data());
-      const std::size_t want = std::min(mt, pool().workers() + 1);
-      const std::size_t chunk = row_chunk(m, kMRs8, want);
-      const std::size_t tasks = (m + chunk - 1) / chunk;
-      note_parallel_gemm();
-      pool().run(tasks, [&](std::size_t t) {
-        timed_task([&] {
-          const std::size_t i_begin = t * chunk;
-          const std::size_t i_end = std::min(m, i_begin + chunk);
-          ops.rows(a, bpack.data(), c, m, k, n, scale_a, scale_b, accumulate,
-                   i_begin, i_end);
-        });
-      });
-      return;
-    }
-    note_serial_fallback();
-  }
-  thread_local std::vector<std::int8_t> t_bpack;
-  if (t_bpack.size() < packed) t_bpack.resize(packed);
-  ops.pack_b(b, k, n, tb, t_bpack.data());
-  ops.rows(a, t_bpack.data(), c, m, k, n, scale_a, scale_b, accumulate, 0, m);
+  thread_local std::vector<std::int8_t> t_bpack_s8;
+  if (t_bpack_s8.size() < packed) t_bpack_s8.resize(packed);
+  ops.pack_b(b, k, n, tb, t_bpack_s8.data());
+  ops.rows(a, t_bpack_s8.data(), c, m, k, n, scale_a, scale_b, accumulate);
 }
 
 }  // namespace
@@ -709,22 +411,8 @@ const GemmS8Ops& s8_dispatch() { return s8(); }
 }  // namespace detail
 
 void set_max_threads(std::size_t n) {
-  g_max_threads.store(n == 0 ? 1 : n, std::memory_order_relaxed);
-}
-
-std::size_t max_threads() {
-  return g_max_threads.load(std::memory_order_relaxed);
-}
-
-PoolMetrics pool_metrics() {
-  const PoolMetricsState& s = pool_metrics_state();
-  MutexLock lk(s.mu);
-  PoolMetrics out;
-  out.parallel_gemms = s.parallel_gemms;
-  out.serial_fallbacks = s.serial_fallbacks;
-  out.tasks = s.tasks;
-  out.task_ms = s.task_ms;
-  return out;
+  CAL_ENSURE(n <= 1, "GEMMs run on their calling thread; set_max_threads("
+                         << n << ") asks for kernel threads");
 }
 
 }  // namespace cal::kernels

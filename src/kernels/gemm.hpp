@@ -20,10 +20,10 @@
 // exactly as in the naive triple loop. k is processed in 256-wide cache
 // blocks whose partial sums combine in ascending order — the only
 // reassociation relative to the naive loop, bounded by k/256 extra
-// roundings. Results are bit-identical for any thread count (threads
-// split rows of C, never the k reduction) and deterministic on a given
-// machine. The int8 variants are stronger still: the inner product is
-// exact in int32, so they are bit-identical across ISAs too.
+// roundings. Every GEMM runs on its calling thread, and results are
+// deterministic on a given machine. The int8 variants are stronger still:
+// the inner product is exact in int32, so they are bit-identical across
+// ISAs too.
 //
 // The inner micro-kernel is a kMR x kNR register tile whose accumulators
 // are 8-wide vector lanes held across the whole k sweep (see
@@ -43,16 +43,13 @@
 // Neither the packed operand nor the small-row kernel changes the
 // numerical contract above: each output element gets the full tile's
 // ascending-k operation sequence on every path, so gemm_packed returns
-// gemm_nn's (gemm_nt's) exact bits, per ISA tier and for any thread
-// count.
+// gemm_nn's (gemm_nt's) exact bits, per ISA tier.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <span>
 #include <vector>
-
-#include "obs/histogram.hpp"
 
 namespace cal::kernels {
 
@@ -83,7 +80,7 @@ PackedMatrix pack_b(std::span<const float> b, std::size_t k, std::size_t n,
 
 /// C (+)= A·B with B pre-packed by pack_b. A: m x b.k(), C: m x b.n().
 /// Same bits as gemm_nn (gemm_nt for a transposed operand) on the
-/// unpacked B, for every shape and thread count.
+/// unpacked B, for every shape.
 void gemm_packed(std::span<const float> a, const PackedMatrix& b,
                  std::span<float> c, std::size_t m, bool accumulate = false);
 
@@ -138,10 +135,8 @@ struct BatchStrides {
 
 /// `batch` independent GEMMs C_e (+)= A_e·B_e in one invocation, each the
 /// same m x k x n shape, operands located by `strides`. Equivalent to (and
-/// bit-identical with) a loop of gemm_nn calls over the same views, but
-/// the pool parallelises across batch x row-chunks, so many small GEMMs
-/// (one per attention head) clear the parallelism threshold together
-/// instead of each staying serial. Unlike the non-batched entry points,
+/// bit-identical with) a loop of gemm_nn calls over the same views, read
+/// in place rather than copied out. Unlike the non-batched entry points,
 /// k == 0 is legal: C is zero-filled (or untouched when accumulating).
 void gemm_batched_nn(std::span<const float> a, std::span<const float> b,
                      std::span<float> c, std::size_t batch, std::size_t m,
@@ -168,10 +163,10 @@ void gemm_batched_tn(std::span<const float> a, std::span<const float> b,
 /// C (+)= diag(scale_a) · (A·B) · diag(scale_b) with int8 A (m x k) and
 /// B (k x n), fp32 C. The inner product is EXACT in int32 — one float
 /// rounding per output element — so results are bit-identical across
-/// thread counts and ISAs. scale_a holds one scale per row of A (per
-/// activation row, from quantize_rows); scale_b one per column of B (per
-/// output channel, from quantize_per_output_channel). k == 0 is legal and
-/// zero-fills C (or leaves it untouched when accumulating).
+/// ISAs. scale_a holds one scale per row of A (per activation row, from
+/// quantize_rows); scale_b one per column of B (per output channel, from
+/// quantize_per_output_channel). k == 0 is legal and zero-fills C (or
+/// leaves it untouched when accumulating).
 void gemm_s8_nn(std::span<const std::int8_t> a, std::span<const std::int8_t> b,
                 std::span<float> c, std::size_t m, std::size_t k,
                 std::size_t n, std::span<const float> scale_a,
@@ -193,27 +188,11 @@ const char* gemm_s8_isa();
 
 // --- threading ------------------------------------------------------------
 
-/// Upper bound on kernel threads (1 = serial, the default). Large GEMMs
-/// split their row blocks over a lazily started persistent pool; small
-/// ones stay on the calling thread regardless. The pool serves one GEMM at
-/// a time — concurrent callers (e.g. serving workers) transparently run
-/// serial instead of queueing. Results are bit-identical for every
-/// setting.
+/// Every GEMM runs on its calling thread, and concurrent callers share no
+/// mutable state (packing scratch is thread-local; a PackedMatrix is
+/// immutable), so serving workers multiply in parallel without a kernel
+/// thread pool. Kept for callers that still pin the kernel thread count
+/// to 1: throws PreconditionError for n > 1.
 void set_max_threads(std::size_t n);
-std::size_t max_threads();
-
-/// Lifetime telemetry of the kernel thread pool (process-wide, like the
-/// pool itself). Task timing covers only pool-dispatched GEMMs — the
-/// serial path stays uninstrumented, so small matmuls pay nothing.
-struct PoolMetrics {
-  std::size_t parallel_gemms = 0;   ///< GEMMs run through the pool
-  std::size_t serial_fallbacks = 0; ///< pool busy: ran serial instead
-  std::size_t tasks = 0;            ///< row-block tasks executed
-  obs::Histogram task_ms;           ///< per-task wall time, milliseconds
-};
-
-/// Snapshot of the pool counters above (ServeEngine::metrics() exports
-/// them as cal_gemm_* families).
-PoolMetrics pool_metrics();
 
 }  // namespace cal::kernels

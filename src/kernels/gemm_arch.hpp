@@ -21,26 +21,24 @@ namespace cal::kernels {
   const float *b, std::size_t ldb, bool tb, std::size_t p0, std::size_t kc, \
       std::size_t j0, std::size_t nc, float *out
 
-// Rows [i_begin, i_end) of C (+)= op(A)·op(B) over ONE (j0, nc) x (p0, kc)
-// block whose B panel was already packed (shared across row-split tasks,
-// or part of a PackedMatrix). `acc_block` is the effective accumulate flag
+// All m rows of C (+)= op(A)·op(B) over ONE (j0, nc) x (p0, kc) block
+// whose B panel was already packed (by the block loop in gemm.cpp, or
+// part of a PackedMatrix). `acc_block` is the effective accumulate flag
 // for this k block (accumulate || p0 > 0). lda/ldc stride the stored A
 // (m x k, or k x m when ta) and C.
 #define CAL_GEMM_PREPACKED_ARGS                                             \
   const float *a, const float *bpack, float *c, std::size_t lda,            \
       std::size_t ldc, bool ta, bool acc_block, std::size_t p0,             \
-      std::size_t kc, std::size_t j0, std::size_t nc, std::size_t i_begin,  \
-      std::size_t i_end
+      std::size_t kc, std::size_t j0, std::size_t nc, std::size_t m
 
-// Rows [i_begin, i_end) of the int8 GEMM: C[i,j] (+)= scale_a[i] *
-// scale_b[j] * sum_p A[i,p]·B[p,j] with an exact int32 inner product.
-// B arrives pre-packed (pack_b_s8 below) so row-split tasks share one
-// packed image; scale_b runs along the output channels (columns of C).
+// The int8 GEMM over all m rows: C[i,j] (+)= scale_a[i] * scale_b[j] *
+// sum_p A[i,p]·B[p,j] with an exact int32 inner product. B arrives
+// pre-packed (CAL_GEMM_S8_PACK_ARGS below); scale_b runs along the output
+// channels (columns of C).
 #define CAL_GEMM_S8_ROWS_ARGS                                               \
   const std::int8_t *a, const std::int8_t *bpack, float *c, std::size_t m,  \
       std::size_t k, std::size_t n, const float *scale_a,                   \
-      const float *scale_b, bool accumulate, std::size_t i_begin,           \
-      std::size_t i_end
+      const float *scale_b, bool accumulate
 
 // Packs all of op(B) (k x n, or n x k when tb) into the int8 panel layout.
 #define CAL_GEMM_S8_PACK_ARGS                                               \

@@ -2,8 +2,8 @@
 //
 // A Module owns persistent parameter leaves (autograd Vars); each forward
 // pass builds a fresh graph referencing those leaves, so gradients
-// accumulate into the same buffers across the batch and are consumed by an
-// Optimizer. Follows the Core Guidelines class-hierarchy rules: abstract
+// accumulate into the same buffers across the batch and are consumed by
+// nn::Adam. Follows the Core Guidelines class-hierarchy rules: abstract
 // interface, virtual destructor, no slicing (modules are non-copyable).
 #pragma once
 

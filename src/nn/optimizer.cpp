@@ -1,55 +1,24 @@
 #include "nn/optimizer.hpp"
 
 #include <cmath>
+#include <utility>
 
 #include "common/ensure.hpp"
 
 namespace cal::nn {
 
-Optimizer::Optimizer(std::vector<Parameter> params)
-    : params_(std::move(params)) {
-  CAL_ENSURE(!params_.empty(), "optimizer bound to zero parameters");
-  for (const auto& p : params_)
-    CAL_ENSURE(p.var != nullptr && p.var->requires_grad(),
-               "optimizer parameter " << p.name << " does not require grad");
-}
-
-void Optimizer::zero_grad() {
-  for (auto& p : params_) p.var->zero_grad();
-}
-
-Sgd::Sgd(std::vector<Parameter> params, float lr, float momentum,
-         float weight_decay)
-    : Optimizer(std::move(params)),
-      lr_(lr),
-      momentum_(momentum),
-      weight_decay_(weight_decay) {
-  CAL_ENSURE(lr > 0.0F, "learning rate must be positive");
-  CAL_ENSURE(momentum >= 0.0F && momentum < 1.0F, "momentum out of [0,1)");
-  for (const auto& p : params_) velocity_.emplace_back(p.var->value().shape());
-}
-
-void Sgd::step() {
-  for (std::size_t i = 0; i < params_.size(); ++i) {
-    Tensor& w = params_[i].var->mutable_value();
-    const Tensor& g = params_[i].var->grad();
-    Tensor& v = velocity_[i];
-    for (std::size_t j = 0; j < w.size(); ++j) {
-      const float grad = g[j] + weight_decay_ * w[j];
-      v[j] = momentum_ * v[j] - lr_ * grad;
-      w[j] += v[j];
-    }
-  }
-}
-
 Adam::Adam(std::vector<Parameter> params, float lr, float beta1, float beta2,
            float eps, float weight_decay)
-    : Optimizer(std::move(params)),
+    : params_(std::move(params)),
       lr_(lr),
       beta1_(beta1),
       beta2_(beta2),
       eps_(eps),
       weight_decay_(weight_decay) {
+  CAL_ENSURE(!params_.empty(), "optimizer bound to zero parameters");
+  for (const auto& p : params_)
+    CAL_ENSURE(p.var != nullptr && p.var->requires_grad(),
+               "optimizer parameter " << p.name << " does not require grad");
   CAL_ENSURE(lr > 0.0F, "learning rate must be positive");
   CAL_ENSURE(beta1 >= 0.0F && beta1 < 1.0F, "beta1 out of [0,1)");
   CAL_ENSURE(beta2 >= 0.0F && beta2 < 1.0F, "beta2 out of [0,1)");
@@ -57,6 +26,10 @@ Adam::Adam(std::vector<Parameter> params, float lr, float beta1, float beta2,
     m_.emplace_back(p.var->value().shape());
     v_.emplace_back(p.var->value().shape());
   }
+}
+
+void Adam::zero_grad() {
+  for (auto& p : params_) p.var->zero_grad();
 }
 
 void Adam::step() {

@@ -1,4 +1,4 @@
-// First-order optimisers over Module parameters.
+// The optimiser over Module parameters.
 #pragma once
 
 #include <vector>
@@ -7,54 +7,26 @@
 
 namespace cal::nn {
 
-/// Abstract optimiser; bound to a fixed parameter list at construction.
-class Optimizer {
+/// Adam (Kingma & Ba) with bias correction and decoupled weight decay;
+/// bound to a fixed parameter list at construction.
+class Adam {
  public:
-  explicit Optimizer(std::vector<Parameter> params);
-  Optimizer(const Optimizer&) = delete;
-  Optimizer& operator=(const Optimizer&) = delete;
-  virtual ~Optimizer() = default;
+  Adam(std::vector<Parameter> params, float lr, float beta1 = 0.9F,
+       float beta2 = 0.999F, float eps = 1e-8F, float weight_decay = 0.0F);
+  Adam(const Adam&) = delete;
+  Adam& operator=(const Adam&) = delete;
 
   /// Apply one update from the accumulated gradients.
-  virtual void step() = 0;
+  void step();
 
   /// Zero all bound parameter gradients.
   void zero_grad();
 
- protected:
+  float learning_rate() const { return lr_; }
+  void set_learning_rate(float lr) { lr_ = lr; }
+
+ private:
   std::vector<Parameter> params_;
-};
-
-/// SGD with classical momentum and decoupled weight decay.
-class Sgd : public Optimizer {
- public:
-  Sgd(std::vector<Parameter> params, float lr, float momentum = 0.0F,
-      float weight_decay = 0.0F);
-
-  void step() override;
-
-  float learning_rate() const { return lr_; }
-  void set_learning_rate(float lr) { lr_ = lr; }
-
- private:
-  float lr_;
-  float momentum_;
-  float weight_decay_;
-  std::vector<Tensor> velocity_;
-};
-
-/// Adam (Kingma & Ba) with bias correction and decoupled weight decay.
-class Adam : public Optimizer {
- public:
-  Adam(std::vector<Parameter> params, float lr, float beta1 = 0.9F,
-       float beta2 = 0.999F, float eps = 1e-8F, float weight_decay = 0.0F);
-
-  void step() override;
-
-  float learning_rate() const { return lr_; }
-  void set_learning_rate(float lr) { lr_ = lr; }
-
- private:
   float lr_;
   float beta1_;
   float beta2_;

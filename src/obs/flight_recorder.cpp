@@ -41,18 +41,6 @@ bool FlightRecorder::trip(std::string_view reason,
   for (const LogField& f : fields) header.push_back(f);
   log_structured(LogLevel::Warn, "flight_recorder_dump",
                  std::span<const LogField>(header));
-  if (cfg_.log_events) {
-    for (const ThreadTrace& t : dump.threads)
-      for (const TraceEvent& ev : t.events)
-        log_structured(LogLevel::Debug, "flight_event",
-                       {{"thread", t.thread_id},
-                        {"ts_ns", ev.ts_ns},
-                        {"type", to_string(ev.type)},
-                        {"tenant", ev.tenant},
-                        {"epoch", ev.epoch},
-                        {"batch", ev.batch},
-                        {"value", ev.value}});
-  }
   MutexLock lock(mu_);
   dump_ = std::move(dump);
   return true;

@@ -5,14 +5,15 @@
 // that decides when their contents are worth keeping. trip() takes an
 // immutable copy of the newest last_n events of every thread (the
 // "freeze" — rings keep recording, the dump can't be overwritten), stores
-// it for programmatic retrieval, and emits a machine-parseable structured
-// log line (plus optional per-event lines) so an operator tailing stderr
-// sees WHAT tripped and the timeline that led up to it.
+// it for programmatic retrieval, and emits one machine-parseable
+// structured log line so an operator tailing stderr sees WHAT tripped;
+// last_dump() holds the timeline that led up to it.
 //
 // Engine wiring (serve/engine.cpp) trips on: replica slot quarantine
-// (always) and deploys (optionally) — see ObsConfig. Trips are
-// rate-limited: a replica that keeps faulting must not turn the log into
-// a firehose.
+// (always) and deploys (optionally) — see ObsConfig. ObsConfig leaves
+// min_interval_ns at 0 by default, so every engine trip dumps; what bounds
+// the automatic ones is quarantine itself: a quarantined slot takes no
+// more batches, so each replica slot trips at most once per deployment.
 #pragma once
 
 #include <cstdint>
@@ -36,10 +37,6 @@ struct FlightRecorderConfig {
   /// Minimum nanoseconds between dumps; trips inside the window are
   /// counted but do not dump. 0 = every trip dumps.
   std::uint64_t min_interval_ns = 0;
-  /// Also emit one Debug-level structured line per captured event (the
-  /// header line is always emitted at Warn). Off by default: a dump can
-  /// hold thousands of events.
-  bool log_events = false;
 };
 
 /// One frozen capture.
@@ -59,15 +56,16 @@ class FlightRecorder {
   /// Record an anomaly. Returns true when a dump was taken (false while
   /// rate-limited). `fields` are appended to the structured header line —
   /// pass the numbers that justify the trip (observed p99, threshold...).
-  // Audited: trip() is called from hot-path roots (submit, process) but
-  // is rate-limited by min_interval and deliberately synchronous — the
-  // whole point of an anomaly dump is that it is on disk before the
-  // process degrades further. The snapshot allocation and stderr write
-  // are bounded by the rate limit; bench_serve_chaos gates the cost.
-  CAL_LINT_SUPPRESS(block, "rate-limited anomaly dump is synchronous by design")
+  // Audited: trip() is reached from the hot-path root process() (a
+  // replica slot quarantine) and is deliberately synchronous — the whole
+  // point of an anomaly dump is that it is on disk before the process
+  // degrades further. Its snapshot allocation and stderr write happen at
+  // most once per replica slot per deployment (see the file comment);
+  // bench_serve_chaos gates the cost.
+  CAL_LINT_SUPPRESS(block, "bounded anomaly dump is synchronous by design")
   bool trip(std::string_view reason, std::span<const LogField> fields = {})
       CAL_EXCLUDES(mu_);
-  CAL_LINT_SUPPRESS(block, "rate-limited anomaly dump is synchronous by design")
+  CAL_LINT_SUPPRESS(block, "bounded anomaly dump is synchronous by design")
   bool trip(std::string_view reason, std::initializer_list<LogField> fields)
       CAL_EXCLUDES(mu_) {
     return trip(reason,

@@ -194,9 +194,10 @@ class CircuitBreaker {
 /// When the engine's flight recorder trips (see obs/flight_recorder.hpp).
 /// A replica slot quarantine (every row of its batch faulted) always
 /// trips it: a broken replica is exactly the anomaly a flight recorder
-/// exists for, and quarantine is rare enough that the dump rate limiter
-/// is never pressure. The tracer itself is governed separately
-/// (obs::Tracer::set_enabled / CALLOC_TRACING=OFF).
+/// exists for, and a quarantined slot takes no more batches, so each slot
+/// trips at most once per deployment without any rate limit. The tracer
+/// itself is governed separately (obs::Tracer::set_enabled /
+/// CALLOC_TRACING=OFF).
 struct ObsConfig {
   /// Also trip on every deploy() — captures the cross-deploy timeline.
   bool trip_on_deploy = false;
@@ -320,9 +321,8 @@ class ServeEngine {
   /// stats() encoded as one point-in-time metrics registry — per-tenant
   /// counters from the kServiceCounters table, breaker, queue, LRU,
   /// replica-slot and drift gauges, latency histograms, routing and
-  /// deployment counters — plus the process-wide GEMM pool task timing
-  /// and tracer/flight-recorder health. Encode it with
-  /// MetricsRegistry::prometheus_text() or ::json().
+  /// deployment counters — plus tracer/flight-recorder health. Encode it
+  /// with MetricsRegistry::prometheus_text() or ::json().
   obs::MetricsRegistry metrics() const;
 
   /// The engine's anomaly capture — trips per ObsConfig; tests and

@@ -219,29 +219,11 @@ TEST(CallocModel, OvertfitsTinyProblem) {
   for (std::size_t i = 0; i < 4; ++i) EXPECT_EQ(pred[i], y[i]);
 }
 
-TEST(CallocModel, ShardScopedAnchorViews) {
+TEST(CallocModel, AnchorLabelsRoundTripThroughSetAnchors) {
   auto m = make_model_ptr();
-  const Tensor& all = m->anchor_matrix();
-
-  // Labels round-trip through set_anchors.
   const auto labels = m->anchor_labels();
   ASSERT_EQ(labels.size(), 4u);
   for (std::size_t i = 0; i < labels.size(); ++i) EXPECT_EQ(labels[i], i);
-
-  // A shard view copies exactly the requested rows (e.g. one floor's
-  // anchors carved out of the building-wide database).
-  const std::vector<std::size_t> shard_rows{3, 1};
-  const Tensor shard = m->anchor_rows(shard_rows);
-  ASSERT_EQ(shard.rows(), 2u);
-  ASSERT_EQ(shard.cols(), all.cols());
-  for (std::size_t j = 0; j < all.cols(); ++j) {
-    EXPECT_EQ(shard.at(0, j), all.at(3, j));
-    EXPECT_EQ(shard.at(1, j), all.at(1, j));
-  }
-
-  const std::vector<std::size_t> out_of_range{4};
-  EXPECT_THROW(m->anchor_rows(out_of_range), PreconditionError);
-  EXPECT_THROW(m->anchor_rows({}), PreconditionError);
 
   CallocModel fresh(small_cfg());
   EXPECT_THROW(fresh.anchor_labels(), PreconditionError);

@@ -1,13 +1,14 @@
 // cal_kernels correctness: the blocked/register-tiled gemm_nn/nt/tn must
 // match the naive triple-loop reference over odd and ragged shapes, honour
 // the accumulate flag, propagate NaN/Inf per IEEE 754 (no zero-skip), and
-// be bit-identical for every thread count; gemm_packed on a pack_b operand
-// must return gemm_nn's (gemm_nt's) exact bits.
+// keep their bits when many threads call them at once; gemm_packed on a
+// pack_b operand must return gemm_nn's (gemm_nt's) exact bits.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <latch>
 #include <limits>
 #include <numeric>
 #include <thread>
@@ -197,58 +198,34 @@ TEST(Kernels, BlockedPathPropagatesNanAndInf) {
     EXPECT_TRUE(std::isnan(ctn.at(4, j)));
 }
 
-TEST(Kernels, ThreadedSplitIsBitIdenticalToSerial) {
-  // Big enough to clear the parallel-dispatch FLOP threshold.
-  const Shape s{256, 320, 192};
-  const Tensor a = random_mat(11, s.m, s.k);
-  const Tensor b = random_mat(12, s.k, s.n);
-  Tensor serial({s.m, s.n});
-  ASSERT_EQ(kernels::max_threads(), 1u);
-  kernels::gemm_nn(a.flat(), b.flat(), serial.flat(), s.m, s.k, s.n);
-  kernels::set_max_threads(4);
-  Tensor threaded({s.m, s.n});
-  kernels::gemm_nn(a.flat(), b.flat(), threaded.flat(), s.m, s.k, s.n);
-  const Tensor packed_threaded = packed_product(a, b, s, false);
-  kernels::set_max_threads(1);
-  for (std::size_t i = 0; i < serial.size(); ++i)
-    ASSERT_EQ(serial[i], threaded[i]) << "thread split changed bits at " << i;
-  EXPECT_TRUE(same_bits(packed_threaded, serial));
-}
-
 // Pre-packed B must give gemm_nn's / gemm_nt's exact bits on every
 // small-row tail height (m = 1-13 covers tails 1-5 behind 0, 1 and 2 full
 // tiles), across the 256-wide k block (257, 520) and panel and 512-wide
-// column-block edges, serial and split over the pool.
+// column-block edges.
 TEST(Kernels, GemmPackedIsBitIdenticalToUnpacked) {
   std::vector<std::size_t> ms(13);
   std::iota(ms.begin(), ms.end(), 1);
   ms.push_back(32);
-  for (const std::size_t threads : {1u, 4u}) {
-    kernels::set_max_threads(threads);
-    for (const std::size_t m : ms)
-      for (const std::size_t k : {1u, 64u, 218u, 257u, 520u})
-        for (const std::size_t n : {1u, 15u, 17u, 61u, 128u, 513u}) {
-          const Shape s{m, k, n};
-          const Tensor a = random_mat(m * 7919 + k, m, k);
-          const Tensor b = random_mat(k * 104729 + n, k, n);  // or n x k
-          Tensor nn({m, n});
-          kernels::gemm_nn(a.flat(), b.flat(), nn.flat(), m, k, n);
-          Tensor nt({m, n});
-          kernels::gemm_nt(a.flat(), b.flat(), nt.flat(), m, k, n);
-          ASSERT_TRUE(same_bits(packed_product(a, b, s, false), nn))
-              << "nn " << m << "x" << k << "x" << n << ", " << threads
-              << " threads";
-          ASSERT_TRUE(same_bits(packed_product(a, b, s, true), nt))
-              << "nt " << m << "x" << k << "x" << n << ", " << threads
-              << " threads";
-          if (threads == 1 && k == 257) {
-            Tensor want({m, n});
-            kernels::gemm_naive(a.flat(), b.flat(), want.flat(), m, k, n);
-            expect_close(nn, want, s, "gemm_nn small rows");
-          }
+  for (const std::size_t m : ms)
+    for (const std::size_t k : {1u, 64u, 218u, 257u, 520u})
+      for (const std::size_t n : {1u, 15u, 17u, 61u, 128u, 513u}) {
+        const Shape s{m, k, n};
+        const Tensor a = random_mat(m * 7919 + k, m, k);
+        const Tensor b = random_mat(k * 104729 + n, k, n);  // or n x k
+        Tensor nn({m, n});
+        kernels::gemm_nn(a.flat(), b.flat(), nn.flat(), m, k, n);
+        Tensor nt({m, n});
+        kernels::gemm_nt(a.flat(), b.flat(), nt.flat(), m, k, n);
+        ASSERT_TRUE(same_bits(packed_product(a, b, s, false), nn))
+            << "nn " << m << "x" << k << "x" << n;
+        ASSERT_TRUE(same_bits(packed_product(a, b, s, true), nt))
+            << "nt " << m << "x" << k << "x" << n;
+        if (k == 257) {
+          Tensor want({m, n});
+          kernels::gemm_naive(a.flat(), b.flat(), want.flat(), m, k, n);
+          expect_close(nn, want, s, "gemm_nn small rows");
         }
-  }
-  kernels::set_max_threads(1);
+      }
 }
 
 // Rows past the last full 6-row tile take the small-row kernel; inside a
@@ -270,33 +247,6 @@ TEST(Kernels, SmallRowTailMatchesFullTileBits) {
             << m << " tail rows, k " << k << ", n " << n;
       }
     }
-}
-
-TEST(Kernels, ConcurrentCallersWithThreadsEnabledStayCorrect) {
-  // Several threads issue pool-sized GEMMs at once: whoever does not win
-  // the pool gate must fall back to the (bit-identical) serial path, never
-  // join a foreign job or deadlock.
-  const Shape s{192, 256, 160};
-  const Tensor a = random_mat(21, s.m, s.k);
-  const Tensor b = random_mat(22, s.k, s.n);
-  Tensor want({s.m, s.n});
-  kernels::gemm_nn(a.flat(), b.flat(), want.flat(), s.m, s.k, s.n);
-  kernels::set_max_threads(4);
-  constexpr std::size_t kCallers = 4;
-  std::vector<Tensor> outs(kCallers, Tensor({s.m, s.n}));
-  std::vector<std::thread> callers;
-  callers.reserve(kCallers);
-  for (std::size_t t = 0; t < kCallers; ++t)
-    callers.emplace_back([&, t] {
-      for (int rep = 0; rep < 10; ++rep)
-        kernels::gemm_nn(a.flat(), b.flat(), outs[t].flat(), s.m, s.k, s.n);
-    });
-  for (auto& c : callers) c.join();
-  kernels::set_max_threads(1);
-  for (std::size_t t = 0; t < kCallers; ++t)
-    for (std::size_t i = 0; i < want.size(); ++i)
-      ASSERT_EQ(outs[t][i], want[i])
-          << "concurrent caller " << t << " diverged at " << i;
 }
 
 TEST(Kernels, RejectsMissizedSpans) {
@@ -323,6 +273,10 @@ TEST(Kernels, RejectsMissizedSpans) {
                                     c.flat(), 4),
                PreconditionError);
   EXPECT_NO_THROW(kernels::gemm_packed(a.flat(), pb, c.flat(), 4));
+
+  // GEMMs run on their calling thread: only the serial setting is valid.
+  EXPECT_NO_THROW(kernels::set_max_threads(1));
+  EXPECT_THROW(kernels::set_max_threads(4), PreconditionError);
 }
 
 // --- batched / strided -----------------------------------------------------
@@ -395,22 +349,6 @@ TEST(Kernels, BatchedKZeroZeroFillsUnlessAccumulating) {
   kernels::gemm_batched_nn({}, {}, kept, batch, m, 0, n, {},
                            /*accumulate=*/true);
   for (float v : kept) EXPECT_EQ(v, 7.0F);
-}
-
-TEST(Kernels, BatchedThreadedSplitIsBitIdenticalToSerial) {
-  const std::size_t batch = 8, m = 96, k = 128, n = 80;
-  const Tensor a = random_mat(51, batch * m, k);
-  const Tensor b = random_mat(52, batch * k, n);
-  std::vector<float> serial(batch * m * n);
-  ASSERT_EQ(kernels::max_threads(), 1u);
-  kernels::gemm_batched_nn(a.flat(), b.flat(), serial, batch, m, k, n);
-  kernels::set_max_threads(4);
-  std::vector<float> threaded(batch * m * n);
-  kernels::gemm_batched_nn(a.flat(), b.flat(), threaded, batch, m, k, n);
-  kernels::set_max_threads(1);
-  for (std::size_t i = 0; i < serial.size(); ++i)
-    ASSERT_EQ(serial[i], threaded[i])
-        << "batched thread split changed bits at " << i;
 }
 
 // --- int8 quantized --------------------------------------------------------
@@ -512,22 +450,55 @@ TEST(Kernels, GemmS8AccumulateAndSaturatedInputsStayExact) {
     ASSERT_EQ(got[i], want[i]) << "saturated accumulate diverged at " << i;
 }
 
-TEST(Kernels, GemmS8ThreadedSplitIsBitIdenticalToSerial) {
-  const std::size_t m = 256, k = 320, n = 192;
-  const auto a = random_s8(91, m * k);
-  const auto b = random_s8(92, k * n);
-  const auto sa = random_scales(93, m);
-  const auto sb = random_scales(94, n);
-  std::vector<float> serial(m * n);
-  ASSERT_EQ(kernels::max_threads(), 1u);
-  kernels::gemm_s8_nn(a, b, serial, m, k, n, sa, sb);
-  kernels::set_max_threads(4);
-  std::vector<float> threaded(m * n);
-  kernels::gemm_s8_nn(a, b, threaded, m, k, n, sa, sb);
-  kernels::set_max_threads(1);
-  for (std::size_t i = 0; i < serial.size(); ++i)
-    ASSERT_EQ(serial[i], threaded[i])
-        << "s8 thread split changed bits at " << i;
+TEST(Kernels, ConcurrentCallersStayCorrect) {
+  // Serving workers multiply at once: each packs into its own thread-local
+  // scratch and reads shared, immutable operands such as one PackedMatrix
+  // per weight. Four callers start together and repeat gemm_nn,
+  // gemm_packed on one shared PackedMatrix and gemm_s8_nn; every output
+  // must keep the bits of a single-thread call. The shape has full 6-row
+  // tiles plus tail rows, two k blocks, an odd k and ragged panels.
+  const Shape s{33, 257, 130};
+  const Tensor a = random_mat(21, s.m, s.k);
+  const Tensor b = random_mat(22, s.k, s.n);
+  const kernels::PackedMatrix packed = kernels::pack_b(b.flat(), s.k, s.n);
+  const auto a8 = random_s8(23, s.m * s.k);
+  const auto b8 = random_s8(24, s.k * s.n);
+  const auto sa = random_scales(25, s.m);
+  const auto sb = random_scales(26, s.n);
+  struct Outputs {
+    Tensor nn, packed;
+    std::vector<float> s8;
+  };
+  const auto run = [&](Outputs& out) {
+    kernels::gemm_nn(a.flat(), b.flat(), out.nn.flat(), s.m, s.k, s.n);
+    kernels::gemm_packed(a.flat(), packed, out.packed.flat(), s.m);
+    kernels::gemm_s8_nn(a8, b8, out.s8, s.m, s.k, s.n, sa, sb);
+  };
+  const Outputs blank{Tensor({s.m, s.n}), Tensor({s.m, s.n}),
+                      std::vector<float>(s.m * s.n)};
+  Outputs want = blank;
+  run(want);
+
+  constexpr std::size_t kCallers = 4;
+  std::vector<Outputs> outs(kCallers, blank);
+  std::latch start(kCallers);
+  std::vector<std::thread> callers;
+  callers.reserve(kCallers);
+  for (std::size_t t = 0; t < kCallers; ++t)
+    callers.emplace_back([&, t] {
+      start.arrive_and_wait();
+      for (int rep = 0; rep < 10; ++rep) run(outs[t]);
+    });
+  for (auto& c : callers) c.join();
+  for (std::size_t t = 0; t < kCallers; ++t) {
+    EXPECT_TRUE(same_bits(outs[t].nn, want.nn)) << "gemm_nn, caller " << t;
+    EXPECT_TRUE(same_bits(outs[t].packed, want.packed))
+        << "gemm_packed, caller " << t;
+    EXPECT_EQ(std::memcmp(outs[t].s8.data(), want.s8.data(),
+                          want.s8.size() * sizeof(float)),
+              0)
+        << "gemm_s8_nn, caller " << t;
+  }
 }
 
 TEST(Kernels, GemmS8RejectsMissizedSpansAndScales) {

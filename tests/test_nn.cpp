@@ -172,21 +172,6 @@ TEST(PrototypeAttention, FusedHeadsBitIdenticalToPerHeadLoop) {
         << "fused input gradient diverged at " << i;
 }
 
-TEST(Optimizer, SgdConvergesOnQuadratic) {
-  // Minimise ||x - t||^2 by gradient descent on a leaf "parameter".
-  auto param = autograd::make_leaf(Tensor({1, 4}, 5.0F), true);
-  const Tensor target({1, 4}, 1.5F);
-  Sgd opt({{"x", param}}, 0.1F, 0.9F);
-  for (int i = 0; i < 300; ++i) {
-    auto loss = autograd::mse_loss(param, target);
-    opt.zero_grad();
-    autograd::backward(loss);
-    opt.step();
-  }
-  for (std::size_t i = 0; i < 4; ++i)
-    EXPECT_NEAR(param->value()[i], 1.5F, 1e-3F);
-}
-
 TEST(Optimizer, AdamConvergesOnQuadratic) {
   auto param = autograd::make_leaf(Tensor({1, 4}, -3.0F), true);
   const Tensor target({1, 4}, 2.0F);
@@ -203,7 +188,7 @@ TEST(Optimizer, AdamConvergesOnQuadratic) {
 
 TEST(Optimizer, RejectsGradlessParameters) {
   auto c = autograd::constant(Tensor({1}));
-  EXPECT_THROW(Sgd({{"c", c}}, 0.1F), PreconditionError);
+  EXPECT_THROW(Adam({{"c", c}}, 0.1F), PreconditionError);
 }
 
 /// Build a small two-blob classification problem.

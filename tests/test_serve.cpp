@@ -1934,14 +1934,6 @@ TEST(Engine, MetricsFamiliesGolden) {
       {"cal_serve_reload_flushes_total",
        "counter | Tenant reloads that flushed cache and drift state"},
       {"cal_serve_pool_size", "gauge | Shared worker threads"},
-      {"cal_gemm_parallel_total",
-       "counter | GEMMs dispatched through the kernel pool"},
-      {"cal_gemm_serial_fallbacks_total",
-       "counter | Pool-eligible GEMMs that ran serial (pool busy)"},
-      {"cal_gemm_pool_tasks_total",
-       "counter | Row-block tasks executed by the kernel pool"},
-      {"cal_gemm_pool_task_ms",
-       "histogram | Kernel-pool row-block task wall time, ms"},
       {"cal_trace_events_total",
        "counter | Trace events recorded, all threads"},
       {"cal_trace_dropped_total",
@@ -1953,7 +1945,7 @@ TEST(Engine, MetricsFamiliesGolden) {
       {"cal_flight_dumps_total",
        "counter | Flight-recorder dumps taken (trips minus rate-limited)"},
   };
-  EXPECT_EQ(want_families.size(), 43u);
+  EXPECT_EQ(want_families.size(), 39u);
   EXPECT_EQ(families, want_families);
   const std::map<std::string, int> want_series = {
       {"cal_serve_admissions_total tenant outcome=accepted", 2},
@@ -1995,10 +1987,6 @@ TEST(Engine, MetricsFamiliesGolden) {
       {"cal_serve_deploys_total", 1},
       {"cal_serve_reload_flushes_total", 1},
       {"cal_serve_pool_size", 1},
-      {"cal_gemm_parallel_total", 1},
-      {"cal_gemm_serial_fallbacks_total", 1},
-      {"cal_gemm_pool_tasks_total", 1},
-      {"cal_gemm_pool_task_ms", 1},
       {"cal_trace_events_total", 1},
       {"cal_trace_dropped_total", 1},
       {"cal_trace_threads", 1},
