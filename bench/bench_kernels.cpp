@@ -257,62 +257,6 @@ int main() {
       });
   const double packed_b1_speedup = b5_embed->nn_us / b5_embed->packed_us;
 
-  // Batched/strided multi-head attention scores: one strided
-  // gemm_batched_nt over the fused B x (H·D) query vs H per-head gemm_nt
-  // calls on contiguous per-head copies (the pre-fusion formulation). The
-  // batched call is a loop over the same per-head GEMMs, so it must match
-  // them bit for bit; the ratio is reported, not gated.
-  const std::size_t att_rows = 256, att_heads = 8, att_d = 16, att_m = 64;
-  double batched_speedup = 0.0;
-  bool batched_close = false;
-  {
-    Rng rng(41);
-    const Tensor q = Tensor::randn({att_rows, att_heads * att_d}, rng);
-    const Tensor proto = Tensor::randn({att_heads * att_m, att_d}, rng);
-    // Contiguous per-head operands for the looped formulation (the old
-    // code held separate head tensors, so the copies are not timed).
-    std::vector<Tensor> q_heads(att_heads, Tensor({att_rows, att_d}));
-    for (std::size_t h = 0; h < att_heads; ++h)
-      for (std::size_t i = 0; i < att_rows; ++i)
-        for (std::size_t j = 0; j < att_d; ++j)
-          q_heads[h].at(i, j) = q.at(i, h * att_d + j);
-    std::vector<Tensor> s_heads(att_heads, Tensor({att_rows, att_m}));
-    std::vector<float> s_batched(att_rows * att_heads * att_m);
-    kernels::BatchStrides st;
-    st.stride_a = att_d;
-    st.lda = att_heads * att_d;
-    st.stride_b = att_m * att_d;
-    st.stride_c = att_m;
-    st.ldc = att_heads * att_m;
-    // The two timings interleave rep by rep so slow phases of a noisy
-    // container hit both formulations equally instead of skewing one.
-    double t_loop = 1e300;
-    double t_batched = 1e300;
-    for (std::size_t r = 0; r < 3 * reps; ++r) {
-      t_loop = std::min(t_loop, time_best(1, [&] {
-        for (std::size_t h = 0; h < att_heads; ++h)
-          kernels::gemm_nt(q_heads[h].flat(),
-                           proto.flat().subspan(h * att_m * att_d,
-                                                att_m * att_d),
-                           s_heads[h].flat(), att_rows, att_d, att_m);
-      }));
-      t_batched = std::min(t_batched, time_best(1, [&] {
-        kernels::gemm_batched_nt(q.flat(), proto.flat(), s_batched,
-                                 att_heads, att_rows, att_d, att_m, st);
-      }));
-    }
-    batched_speedup = t_loop / t_batched;
-    batched_close = true;
-    for (std::size_t h = 0; h < att_heads && batched_close; ++h)
-      for (std::size_t i = 0; i < att_rows && batched_close; ++i)
-        for (std::size_t j = 0; j < att_m; ++j)
-          if (s_batched[i * att_heads * att_m + h * att_m + j] !=
-              s_heads[h].at(i, j)) {
-            batched_close = false;
-            break;
-          }
-  }
-
   // End-to-end accuracy cost of quantization: a fast curriculum run on a
   // simulated venue, then mean localization error fp32 vs int8. CI gates
   // the delta at 0.05 m — the quantized lane must be accuracy-neutral.
@@ -352,9 +296,6 @@ int main() {
   std::printf("int8 (quantize_rows + gemm_s8_nn) vs fp32 on %s: %.2fx "
               "(%.2f int8 GF/s, %s tier)\n",
               s8shape.label.c_str(), s8_speedup, s8_gflops, s8_isa.c_str());
-  std::printf("batched strided q·kᵀ (%zu heads, %zux%zux%zu) vs per-head "
-              "loop: %.2fx\n",
-              att_heads, att_rows, att_d, att_m, batched_speedup);
   std::printf("localization error: fp32 %.3f m, int8 %.3f m (delta %+.3f "
               "m)\n\n",
               err_fp32_m, err_int8_m, err_delta_m);
@@ -399,13 +340,6 @@ int main() {
                    "%.3f, \"gflops\": %.3f, \"isa\": \"%s\"},\n",
                    s8shape.label.c_str(), s8_speedup, s8_gflops,
                    s8_isa.c_str());
-      std::fprintf(f,
-                   "  \"batched_attention\": {\"heads\": %zu, \"rows\": %zu,"
-                   " \"head_dim\": %zu, \"prototypes\": %zu,\n"
-                   "   \"speedup_vs_per_head_loop\": %.3f, "
-                   "\"matches_loop\": %s},\n",
-                   att_heads, att_rows, att_d, att_m, batched_speedup,
-                   batched_close ? "true" : "false");
       std::fprintf(f, "  \"query_half_layers\": [\n");
       for (std::size_t i = 0; i < layer_rows.size(); ++i) {
         const LayerRow& r = layer_rows[i];
@@ -441,9 +375,6 @@ int main() {
       rows[kTargetShape].blocked_speedup >= 3.0,
       "blocked >=3x naive on " + rows[kTargetShape].shape.label + " (got " +
           fmt(rows[kTargetShape].blocked_speedup) + "x)");
-  ok &= bench::shape_check(batched_close,
-                           "batched strided scores match per-head loop "
-                           "bit for bit");
   // The 1.7x int8 floor needs 512-bit integer madd: two AVX2
   // instructions per 16 int8 MACs sit at throughput parity with one
   // 8-MAC fp32 FMA, so the AVX2 tier architecturally tops out near

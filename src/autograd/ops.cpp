@@ -625,187 +625,6 @@ Var scaled_dot_product_attention(const Var& q, const Var& k, const Var& v) {
   return matmul(weights, v);
 }
 
-Var matmul_nt_heads(const Var& a, const Var& b, std::size_t heads) {
-  const Tensor& av = a->value();
-  const Tensor& bv = b->value();
-  CAL_ENSURE(heads > 0, "matmul_nt_heads needs heads > 0");
-  CAL_ENSURE(av.rank() == 2 && bv.rank() == 2,
-             "matmul_nt_heads expects rank-2 operands");
-  CAL_ENSURE(av.cols() % heads == 0, "lhs cols " << av.cols()
-                                                 << " not divisible by "
-                                                 << heads << " heads");
-  CAL_ENSURE(bv.rows() % heads == 0, "rhs rows " << bv.rows()
-                                                 << " not divisible by "
-                                                 << heads << " heads");
-  const std::size_t rows = av.rows();        // B
-  const std::size_t d = av.cols() / heads;   // head dim
-  const std::size_t m = bv.rows() / heads;   // prototypes per head
-  CAL_ENSURE(bv.cols() == d, "rhs head dim " << bv.cols() << " != lhs "
-                                             << d);
-  Tensor out = Tensor::uninitialized({rows, heads * m});
-  // Head h: out[:, hM..] = a[:, hD..] · b[hM.., :]ᵀ — one strided batched
-  // GEMM over all H column/row-block views.
-  kernels::BatchStrides fwd;
-  fwd.stride_a = d;
-  fwd.lda = heads * d;
-  fwd.stride_b = m * d;
-  fwd.stride_c = m;
-  fwd.ldc = heads * m;
-  kernels::gemm_batched_nt(av.flat(), bv.flat(), out.flat(), heads, rows, d,
-                           m, fwd);
-  Var node = make_op(std::move(out), "matmul_nt_heads", {a, b});
-  if (node->requires_grad()) {
-    Node* self = node.get();
-    Node* pa = a.get();
-    Node* pb = b.get();
-    node->set_backward([self, pa, pb, heads, rows, d, m] {
-      // Per head: y_h = A_h·B_hᵀ, so dA_h = g_h·B_h and dB_h = g_hᵀ·A_h —
-      // the same strided views, accumulated straight into the fused grad
-      // buffers.
-      const Tensor& g = self->grad();
-      const Tensor& av = pa->value();
-      const Tensor& bv = pb->value();
-      if (pa->requires_grad()) {
-        kernels::BatchStrides s;
-        s.stride_a = m;
-        s.lda = heads * m;
-        s.stride_b = m * d;
-        s.stride_c = d;
-        s.ldc = heads * d;
-        kernels::gemm_batched_nn(g.flat(), bv.flat(),
-                                 pa->grad_buffer().flat(), heads, rows, m, d,
-                                 s, /*accumulate=*/true);
-      }
-      if (pb->requires_grad()) {
-        kernels::BatchStrides s;
-        s.stride_a = m;
-        s.lda = heads * m;
-        s.stride_b = d;
-        s.ldb = heads * d;
-        s.stride_c = m * d;
-        kernels::gemm_batched_tn(g.flat(), av.flat(),
-                                 pb->grad_buffer().flat(), heads, m, rows, d,
-                                 s, /*accumulate=*/true);
-      }
-    });
-  }
-  return node;
-}
-
-Var matmul_heads(const Var& a, const Var& b, std::size_t heads) {
-  const Tensor& av = a->value();
-  const Tensor& bv = b->value();
-  CAL_ENSURE(heads > 0, "matmul_heads needs heads > 0");
-  CAL_ENSURE(av.rank() == 2 && bv.rank() == 2,
-             "matmul_heads expects rank-2 operands");
-  CAL_ENSURE(av.cols() % heads == 0, "lhs cols " << av.cols()
-                                                 << " not divisible by "
-                                                 << heads << " heads");
-  CAL_ENSURE(bv.rows() % heads == 0, "rhs rows " << bv.rows()
-                                                 << " not divisible by "
-                                                 << heads << " heads");
-  const std::size_t rows = av.rows();        // B
-  const std::size_t m = av.cols() / heads;   // prototypes per head
-  const std::size_t d = bv.cols();           // head dim
-  CAL_ENSURE(bv.rows() / heads == m, "rhs rows/head " << bv.rows() / heads
-                                                      << " != lhs " << m);
-  Tensor out = Tensor::uninitialized({rows, heads * d});
-  // Head h: out[:, hD..] = a[:, hM..] · b[hM.., :] — the output columns
-  // are already the concatenation of per-head results.
-  kernels::BatchStrides fwd;
-  fwd.stride_a = m;
-  fwd.lda = heads * m;
-  fwd.stride_b = m * d;
-  fwd.stride_c = d;
-  fwd.ldc = heads * d;
-  kernels::gemm_batched_nn(av.flat(), bv.flat(), out.flat(), heads, rows, m,
-                           d, fwd);
-  Var node = make_op(std::move(out), "matmul_heads", {a, b});
-  if (node->requires_grad()) {
-    Node* self = node.get();
-    Node* pa = a.get();
-    Node* pb = b.get();
-    node->set_backward([self, pa, pb, heads, rows, d, m] {
-      // Per head: y_h = A_h·B_h, so dA_h = g_h·B_hᵀ and dB_h = A_hᵀ·g_h.
-      const Tensor& g = self->grad();
-      const Tensor& av = pa->value();
-      const Tensor& bv = pb->value();
-      if (pa->requires_grad()) {
-        kernels::BatchStrides s;
-        s.stride_a = d;
-        s.lda = heads * d;
-        s.stride_b = m * d;
-        s.stride_c = m;
-        s.ldc = heads * m;
-        kernels::gemm_batched_nt(g.flat(), bv.flat(),
-                                 pa->grad_buffer().flat(), heads, rows, d, m,
-                                 s, /*accumulate=*/true);
-      }
-      if (pb->requires_grad()) {
-        kernels::BatchStrides s;
-        s.stride_a = m;
-        s.lda = heads * m;
-        s.stride_b = d;
-        s.ldb = heads * d;
-        s.stride_c = m * d;
-        kernels::gemm_batched_tn(av.flat(), g.flat(),
-                                 pb->grad_buffer().flat(), heads, m, rows, d,
-                                 s, /*accumulate=*/true);
-      }
-    });
-  }
-  return node;
-}
-
-Var softmax_blocks(const Var& a, std::size_t blocks) {
-  const Tensor& x = a->value();
-  CAL_ENSURE(blocks > 0, "softmax_blocks needs blocks > 0");
-  CAL_ENSURE(x.rank() == 2, "softmax_blocks expects rank-2");
-  CAL_ENSURE(x.cols() % blocks == 0, "cols " << x.cols()
-                                             << " not divisible by "
-                                             << blocks << " blocks");
-  const std::size_t rows = x.rows();
-  const std::size_t cols = x.cols();
-  const std::size_t width = cols / blocks;
-  Tensor out = x;
-  for (std::size_t i = 0; i < rows; ++i)
-    for (std::size_t h = 0; h < blocks; ++h) {
-      float* row = out.data() + i * cols + h * width;
-      float mx = row[0];
-      for (std::size_t j = 1; j < width; ++j) mx = std::max(mx, row[j]);
-      float denom = 0.0F;
-      for (std::size_t j = 0; j < width; ++j) {
-        row[j] = std::exp(row[j] - mx);
-        denom += row[j];
-      }
-      const float inv = 1.0F / denom;
-      for (std::size_t j = 0; j < width; ++j) row[j] *= inv;
-    }
-  Var node = make_op(std::move(out), "softmax_blocks", {a});
-  if (node->requires_grad()) {
-    Node* self = node.get();
-    Node* pa = a.get();
-    node->set_backward([self, pa, rows, cols, width, blocks] {
-      if (!pa->requires_grad()) return;
-      const Tensor& g = self->grad();
-      const Tensor& y = self->value();
-      Tensor& ga = pa->grad_buffer();
-      for (std::size_t i = 0; i < rows; ++i)
-        for (std::size_t h = 0; h < blocks; ++h) {
-          const std::size_t off = i * cols + h * width;
-          const float* yr = y.data() + off;
-          const float* gr = g.data() + off;
-          float dot = 0.0F;
-          for (std::size_t j = 0; j < width; ++j) dot += yr[j] * gr[j];
-          float* gar = ga.data() + off;
-          for (std::size_t j = 0; j < width; ++j)
-            gar[j] += yr[j] * (gr[j] - dot);
-        }
-    });
-  }
-  return node;
-}
-
 std::vector<std::size_t> argmax_rows(const Tensor& t) {
   CAL_ENSURE(t.rank() == 2, "argmax_rows expects rank-2");
   std::vector<std::size_t> out(t.rows());

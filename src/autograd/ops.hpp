@@ -102,31 +102,6 @@ Var cross_entropy(const Var& logits, std::span<const std::size_t> labels);
 /// gradient correctness follows from theirs (and is still tested end-to-end).
 Var scaled_dot_product_attention(const Var& q, const Var& k, const Var& v);
 
-// --- head-batched attention primitives ------------------------------------
-//
-// Multi-head attention without per-head slicing: queries stay fused as the
-// column blocks of one (B x H·D) activation and the per-head prototype
-// matrices stack as row blocks of one (H·M x D) leaf. Each op lowers to a
-// single strided batched GEMM (gemm_batched_*) over all H head views, so
-// one kernel invocation replaces H small GEMMs — and each head's view is
-// multiplied with exactly the per-head reduction order, so results are
-// bit-identical to the per-head loop.
-
-/// Per-head scores: a (B x H·D) against b (H·M x D) -> (B x H·M), where
-/// column block h of the output is a[:, hD:(h+1)D] · b[hM:(h+1)M, :]ᵀ.
-Var matmul_nt_heads(const Var& a, const Var& b, std::size_t heads);
-
-/// Per-head attended values: a (B x H·M) against b (H·M x D) -> (B x H·D),
-/// where column block h of the output is a[:, hM:(h+1)M] · b[hM:(h+1)M, :].
-/// The output IS the concat of per-head results — no concat_cols node.
-Var matmul_heads(const Var& a, const Var& b, std::size_t heads);
-
-/// Softmax over each contiguous column block of width cols/blocks,
-/// independently per row: the per-head softmax of fused attention scores.
-/// Equivalent to splitting into `blocks` column slices, softmax_rows on
-/// each, and re-concatenating.
-Var softmax_blocks(const Var& a, std::size_t blocks);
-
 // --- non-differentiable helpers -------------------------------------------
 
 /// Row-wise argmax of a rank-2 tensor (predicted class per sample).

@@ -53,12 +53,11 @@ const GemmS8Ops& s8() {
 
 // --- fp32 block loop -----------------------------------------------------
 
-// Right-hand operand of one fp32 GEMM: a stored matrix (row stride ldb,
-// transposed when tb) packed block by block as the loop reaches it, or
-// the panels of a PackedMatrix.
+// Right-hand operand of one fp32 GEMM: a dense stored matrix (k x n, or
+// n x k when tb) packed block by block as the loop reaches it, or the
+// panels of a PackedMatrix.
 struct Rhs {
   const float* b = nullptr;
-  std::size_t ldb = 0;
   bool tb = false;
   const float* packed = nullptr;
 };
@@ -99,11 +98,13 @@ void for_each_block(const GemmF32Ops& ops, std::size_t k, std::size_t n,
 }
 
 // The panels of one block: read in place from a pre-packed operand, else
-// packed into `scratch` (one block_kc x block_nc block).
+// packed into `scratch` (one block_kc x block_nc block) from the stored
+// B, whose row stride is ldb.
 const float* block_panels(const GemmF32Ops& ops, const Rhs& rhs,
-                          std::size_t k, const Block& blk, float* scratch) {
+                          std::size_t ldb, std::size_t k, const Block& blk,
+                          float* scratch) {
   if (rhs.packed != nullptr) return rhs.packed + packed_offset(ops, k, blk);
-  ops.pack_b_block(rhs.b, rhs.ldb, rhs.tb, blk.p0, blk.kc, blk.j0, blk.nc,
+  ops.pack_b_block(rhs.b, ldb, rhs.tb, blk.p0, blk.kc, blk.j0, blk.nc,
                    scratch);
   return scratch;
 }
@@ -121,22 +122,19 @@ float* bpack_scratch(const GemmF32Ops& ops, const Rhs& rhs) {
   return t_bpack.data();
 }
 
-// C (+)= op(A)·op(B) over all m rows, on the calling thread.
-void gemm_rows(const GemmF32Ops& ops, const float* a, const Rhs& rhs,
-               float* c, std::size_t m, std::size_t k, std::size_t n,
-               std::size_t lda, std::size_t ldc, bool ta, bool accumulate) {
-  float* scratch = bpack_scratch(ops, rhs);
-  for_each_block(ops, k, n, accumulate, [&](const Block& blk) {
-    ops.gemm_rows_prepacked(a, block_panels(ops, rhs, k, blk, scratch), c,
-                            lda, ldc, ta, blk.acc, blk.p0, blk.kc, blk.j0,
-                            blk.nc, m);
-  });
-}
-
-// A dense GEMM: the leading dimensions are the stored row widths of A and C.
+// C (+)= op(A)·op(B) over all m rows, on the calling thread. Every
+// operand is dense, so each leading dimension is its stored row width.
 void gemm_impl(const float* a, const Rhs& rhs, float* c, std::size_t m,
                std::size_t k, std::size_t n, bool ta, bool accumulate) {
-  gemm_rows(f32(), a, rhs, c, m, k, n, ta ? m : k, n, ta, accumulate);
+  const GemmF32Ops& ops = f32();
+  const std::size_t lda = ta ? m : k;
+  const std::size_t ldb = rhs.tb ? k : n;
+  float* scratch = bpack_scratch(ops, rhs);
+  for_each_block(ops, k, n, accumulate, [&](const Block& blk) {
+    ops.gemm_rows_prepacked(a, block_panels(ops, rhs, ldb, k, blk, scratch),
+                            c, lda, n, ta, blk.acc, blk.p0, blk.kc, blk.j0,
+                            blk.nc, m);
+  });
 }
 
 void check_args(std::span<const float> a, std::span<const float> b,
@@ -153,85 +151,6 @@ void check_args(std::span<const float> a, std::span<const float> b,
   CAL_ENSURE(c.size() == m * n, "gemm out span has " << c.size()
                                                      << " floats, expected "
                                                      << m * n);
-}
-
-// --- batched dispatch -----------------------------------------------------
-
-struct ResolvedStrides {
-  std::size_t stride_a, stride_b, stride_c, lda, ldb, ldc;
-};
-
-ResolvedStrides resolve_strides(const BatchStrides& s, std::size_t m,
-                                std::size_t k, std::size_t n, bool ta,
-                                bool tb) {
-  ResolvedStrides r{};
-  r.lda = s.lda != 0 ? s.lda : (ta ? m : k);
-  r.ldb = s.ldb != 0 ? s.ldb : (tb ? k : n);
-  r.ldc = s.ldc != 0 ? s.ldc : n;
-  r.stride_a = s.stride_a != 0 ? s.stride_a : (ta ? k : m) * r.lda;
-  r.stride_b = s.stride_b != 0 ? s.stride_b : (tb ? n : k) * r.ldb;
-  r.stride_c = s.stride_c != 0 ? s.stride_c : m * r.ldc;
-  return r;
-}
-
-// Greatest element offset touched in a batch of stored rows x cols views,
-// plus one: the minimum span size.
-std::size_t batched_extent(std::size_t batch, std::size_t stride,
-                           std::size_t rows, std::size_t cols,
-                           std::size_t ld) {
-  return (batch - 1) * stride + (rows - 1) * ld + cols;
-}
-
-void check_batched(std::span<const float> a, std::span<const float> b,
-                   std::span<float> c, std::size_t batch, std::size_t m,
-                   std::size_t k, std::size_t n, const ResolvedStrides& r,
-                   bool ta, bool tb) {
-  CAL_ENSURE(batch > 0 && m > 0 && n > 0, "batched gemm dims must be positive: "
-                                              << batch << " of " << m << "x"
-                                              << k << "x" << n);
-  CAL_ENSURE(r.ldc >= n, "batched gemm ldc " << r.ldc << " < n " << n);
-  if (k > 0) {
-    const std::size_t rows_a = ta ? k : m;
-    const std::size_t cols_a = ta ? m : k;
-    const std::size_t rows_b = tb ? n : k;
-    const std::size_t cols_b = tb ? k : n;
-    CAL_ENSURE(r.lda >= cols_a,
-               "batched gemm lda " << r.lda << " < row width " << cols_a);
-    CAL_ENSURE(r.ldb >= cols_b,
-               "batched gemm ldb " << r.ldb << " < row width " << cols_b);
-    const std::size_t need_a =
-        batched_extent(batch, r.stride_a, rows_a, cols_a, r.lda);
-    const std::size_t need_b =
-        batched_extent(batch, r.stride_b, rows_b, cols_b, r.ldb);
-    CAL_ENSURE(a.size() >= need_a, "batched gemm lhs span has "
-                                       << a.size() << " floats, needs >= "
-                                       << need_a);
-    CAL_ENSURE(b.size() >= need_b, "batched gemm rhs span has "
-                                       << b.size() << " floats, needs >= "
-                                       << need_b);
-  }
-  const std::size_t need_c = batched_extent(batch, r.stride_c, m, n, r.ldc);
-  CAL_ENSURE(c.size() >= need_c, "batched gemm out span has "
-                                     << c.size() << " floats, needs >= "
-                                     << need_c);
-}
-
-void gemm_batched_impl(const float* a, const float* b, float* c,
-                       std::size_t batch, std::size_t m, std::size_t k,
-                       std::size_t n, const ResolvedStrides& r, bool ta,
-                       bool tb, bool accumulate) {
-  if (k == 0) {
-    // Empty reduction: the product is the zero matrix.
-    if (!accumulate)
-      for (std::size_t e = 0; e < batch; ++e)
-        for (std::size_t i = 0; i < m; ++i)
-          std::fill_n(c + e * r.stride_c + i * r.ldc, n, 0.0F);
-    return;
-  }
-  const GemmF32Ops& ops = f32();
-  for (std::size_t e = 0; e < batch; ++e)
-    gemm_rows(ops, a + e * r.stride_a, Rhs{b + e * r.stride_b, r.ldb, tb},
-              c + e * r.stride_c, m, k, n, r.lda, r.ldc, ta, accumulate);
 }
 
 // --- int8 dispatch --------------------------------------------------------
@@ -282,7 +201,7 @@ void gemm_nn(std::span<const float> a, std::span<const float> b,
              std::span<float> c, std::size_t m, std::size_t k, std::size_t n,
              bool accumulate) {
   check_args(a, b, c, m, k, n);
-  gemm_impl(a.data(), Rhs{b.data(), n, false}, c.data(), m, k, n, false,
+  gemm_impl(a.data(), Rhs{b.data(), false}, c.data(), m, k, n, false,
             accumulate);
 }
 
@@ -290,7 +209,7 @@ void gemm_nt(std::span<const float> a, std::span<const float> b,
              std::span<float> c, std::size_t m, std::size_t k, std::size_t n,
              bool accumulate) {
   check_args(a, b, c, m, k, n);
-  gemm_impl(a.data(), Rhs{b.data(), k, true}, c.data(), m, k, n, false,
+  gemm_impl(a.data(), Rhs{b.data(), true}, c.data(), m, k, n, false,
             accumulate);
 }
 
@@ -298,7 +217,7 @@ void gemm_tn(std::span<const float> a, std::span<const float> b,
              std::span<float> c, std::size_t m, std::size_t k, std::size_t n,
              bool accumulate) {
   check_args(a, b, c, m, k, n);
-  gemm_impl(a.data(), Rhs{b.data(), n, false}, c.data(), m, k, n, true,
+  gemm_impl(a.data(), Rhs{b.data(), false}, c.data(), m, k, n, true,
             accumulate);
 }
 
@@ -354,36 +273,6 @@ void gemm_naive(std::span<const float> a, std::span<const float> b,
       for (std::size_t j = 0; j < n; ++j) orow[j] += av * brow[j];
     }
   }
-}
-
-void gemm_batched_nn(std::span<const float> a, std::span<const float> b,
-                     std::span<float> c, std::size_t batch, std::size_t m,
-                     std::size_t k, std::size_t n, const BatchStrides& strides,
-                     bool accumulate) {
-  const ResolvedStrides r = resolve_strides(strides, m, k, n, false, false);
-  check_batched(a, b, c, batch, m, k, n, r, false, false);
-  gemm_batched_impl(a.data(), b.data(), c.data(), batch, m, k, n, r, false,
-                    false, accumulate);
-}
-
-void gemm_batched_nt(std::span<const float> a, std::span<const float> b,
-                     std::span<float> c, std::size_t batch, std::size_t m,
-                     std::size_t k, std::size_t n, const BatchStrides& strides,
-                     bool accumulate) {
-  const ResolvedStrides r = resolve_strides(strides, m, k, n, false, true);
-  check_batched(a, b, c, batch, m, k, n, r, false, true);
-  gemm_batched_impl(a.data(), b.data(), c.data(), batch, m, k, n, r, false,
-                    true, accumulate);
-}
-
-void gemm_batched_tn(std::span<const float> a, std::span<const float> b,
-                     std::span<float> c, std::size_t batch, std::size_t m,
-                     std::size_t k, std::size_t n, const BatchStrides& strides,
-                     bool accumulate) {
-  const ResolvedStrides r = resolve_strides(strides, m, k, n, true, false);
-  check_batched(a, b, c, batch, m, k, n, r, true, false);
-  gemm_batched_impl(a.data(), b.data(), c.data(), batch, m, k, n, r, true,
-                    false, accumulate);
 }
 
 void gemm_s8_nn(std::span<const std::int8_t> a, std::span<const std::int8_t> b,

@@ -1,5 +1,5 @@
-// cal_kernels: cache-blocked, register-tiled GEMM — fp32, batched/strided
-// fp32, and int8-quantized variants.
+// cal_kernels: cache-blocked, register-tiled GEMM — fp32 and
+// int8-quantized variants.
 //
 // Three transpose-fusion variants cover every matmul in the training and
 // serving hot paths without materialising a transposed copy first:
@@ -114,49 +114,6 @@ class PackedMatrix {
 void gemm_naive(std::span<const float> a, std::span<const float> b,
                 std::span<float> c, std::size_t m, std::size_t k,
                 std::size_t n, bool accumulate = false);
-
-// --- batched / strided ----------------------------------------------------
-
-/// Strides for the batched entry points. Every field defaults to 0 =
-/// "dense": leading dimensions fall back to the stored row width of the
-/// operand (k for a non-transposed m x k A, and so on) and batch strides
-/// to rows x ld of the resolved layout. Non-zero values let one kernel
-/// invocation sweep views into a larger buffer — the multi-head attention
-/// case: head h of a fused B x (H·D) activation is the submatrix at
-/// column offset h·D, i.e. stride_a = D with lda = H·D.
-struct BatchStrides {
-  std::size_t stride_a = 0;  ///< elements between consecutive A matrices
-  std::size_t stride_b = 0;  ///< elements between consecutive B matrices
-  std::size_t stride_c = 0;  ///< elements between consecutive C matrices
-  std::size_t lda = 0;       ///< row stride of stored A (>= its row width)
-  std::size_t ldb = 0;       ///< row stride of stored B
-  std::size_t ldc = 0;       ///< row stride of stored C (>= n)
-};
-
-/// `batch` independent GEMMs C_e (+)= A_e·B_e in one invocation, each the
-/// same m x k x n shape, operands located by `strides`. Equivalent to (and
-/// bit-identical with) a loop of gemm_nn calls over the same views, read
-/// in place rather than copied out. Unlike the non-batched entry points,
-/// k == 0 is legal: C is zero-filled (or untouched when accumulating).
-void gemm_batched_nn(std::span<const float> a, std::span<const float> b,
-                     std::span<float> c, std::size_t batch, std::size_t m,
-                     std::size_t k, std::size_t n,
-                     const BatchStrides& strides = {},
-                     bool accumulate = false);
-
-/// Batched C_e (+)= A_e·B_eᵀ; B_e stored n x k. See gemm_batched_nn.
-void gemm_batched_nt(std::span<const float> a, std::span<const float> b,
-                     std::span<float> c, std::size_t batch, std::size_t m,
-                     std::size_t k, std::size_t n,
-                     const BatchStrides& strides = {},
-                     bool accumulate = false);
-
-/// Batched C_e (+)= A_eᵀ·B_e; A_e stored k x m. See gemm_batched_nn.
-void gemm_batched_tn(std::span<const float> a, std::span<const float> b,
-                     std::span<float> c, std::size_t batch, std::size_t m,
-                     std::size_t k, std::size_t n,
-                     const BatchStrides& strides = {},
-                     bool accumulate = false);
 
 // --- int8 quantized -------------------------------------------------------
 

@@ -13,20 +13,6 @@ Linear::Linear(std::size_t in_features, std::size_t out_features, Rng& rng,
   b_ = autograd::make_leaf(Tensor({out_}), true);
 }
 
-Linear::Linear(Tensor weight, Tensor bias, std::string name)
-    : in_(weight.rank() == 2 ? weight.rows() : 0),
-      out_(weight.rank() == 2 ? weight.cols() : 0),
-      name_(std::move(name)) {
-  CAL_ENSURE(weight.rank() == 2 && in_ > 0 && out_ > 0,
-             name_ << ": weight must be a non-empty rank-2 matrix, got "
-                   << weight.shape_str());
-  CAL_ENSURE(bias.rank() == 1 && bias.size() == out_,
-             name_ << ": bias must have " << out_ << " entries, got "
-                   << bias.shape_str());
-  w_ = autograd::make_leaf(std::move(weight), true);
-  b_ = autograd::make_leaf(std::move(bias), true);
-}
-
 autograd::Var Linear::forward(const autograd::Var& x) {
   CAL_ENSURE(x->value().rank() == 2 && x->value().cols() == in_,
              name_ << ": expected input (*, " << in_ << "), got "

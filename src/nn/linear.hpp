@@ -12,11 +12,6 @@ class Linear : public Module {
   Linear(std::size_t in_features, std::size_t out_features, Rng& rng,
          std::string name = "linear");
 
-  /// Wrap pre-assembled weights W (in x out) and bias b (out) — for fused
-  /// layers that stitch independently initialised blocks into one matrix
-  /// (e.g. per-head query projections fused column-wise).
-  Linear(Tensor weight, Tensor bias, std::string name = "linear");
-
   autograd::Var forward(const autograd::Var& x) override;
   std::vector<Parameter> parameters() override;
 

@@ -1,8 +1,5 @@
 #include "nn/prototype_attention.hpp"
 
-#include <cmath>
-#include <cstring>
-
 #include "autograd/ops.hpp"
 #include "common/ensure.hpp"
 
@@ -12,14 +9,14 @@ PrototypeAttentionHead::PrototypeAttentionHead(std::size_t in_features,
                                                std::size_t head_dim,
                                                std::size_t num_prototypes,
                                                Rng& rng, std::string name)
-    : head_dim_(head_dim), name_(std::move(name)) {
-  CAL_ENSURE(head_dim_ > 0 && num_prototypes > 0,
+    : name_(std::move(name)) {
+  CAL_ENSURE(head_dim > 0 && num_prototypes > 0,
              "attention head dims must be positive");
-  w_q_ = std::make_unique<Linear>(in_features, head_dim_, rng, name_ + ".wq");
+  w_q_ = std::make_unique<Linear>(in_features, head_dim, rng, name_ + ".wq");
   proto_k_ = autograd::make_leaf(
-      Tensor::randn({num_prototypes, head_dim_}, rng, 0.5F), true);
+      Tensor::randn({num_prototypes, head_dim}, rng, 0.5F), true);
   proto_v_ = autograd::make_leaf(
-      Tensor::randn({num_prototypes, head_dim_}, rng, 0.5F), true);
+      Tensor::randn({num_prototypes, head_dim}, rng, 0.5F), true);
 }
 
 autograd::Var PrototypeAttentionHead::forward(const autograd::Var& x) {
@@ -37,66 +34,29 @@ std::vector<Parameter> PrototypeAttentionHead::parameters() {
 MultiHeadPrototypeAttention::MultiHeadPrototypeAttention(
     std::size_t in_features, std::size_t head_dim, std::size_t num_heads,
     std::size_t num_prototypes, Rng& rng, std::string name)
-    : num_heads_(num_heads), head_dim_(head_dim), name_(std::move(name)) {
+    : out_features_(head_dim * num_heads) {
   CAL_ENSURE(num_heads > 0, "need at least one attention head");
-  CAL_ENSURE(head_dim > 0 && num_prototypes > 0,
-             "attention head dims must be positive");
-  out_features_ = head_dim * num_heads;
-  // Draw each head's parameters in exactly the order the per-head
-  // formulation does (same RNG stream, same per-head Xavier bounds), then
-  // stitch them into the fused layout: W_q column block h and prototype
-  // row block h belong to head h.
-  Tensor wq({in_features, out_features_});
-  Tensor bq({out_features_});
-  Tensor kfused({num_heads * num_prototypes, head_dim});
-  Tensor vfused({num_heads * num_prototypes, head_dim});
-  for (std::size_t h = 0; h < num_heads; ++h) {
-    Linear head_wq(in_features, head_dim, rng, "tmp");
-    const Tensor& w = head_wq.weight()->value();  // (in, head_dim)
-    for (std::size_t i = 0; i < in_features; ++i)
-      std::memcpy(wq.data() + i * out_features_ + h * head_dim,
-                  w.data() + i * head_dim, head_dim * sizeof(float));
-    // head bias starts zero, as does the fused bias
-    const Tensor kh = Tensor::randn({num_prototypes, head_dim}, rng, 0.5F);
-    const Tensor vh = Tensor::randn({num_prototypes, head_dim}, rng, 0.5F);
-    std::memcpy(kfused.data() + h * num_prototypes * head_dim, kh.data(),
-                num_prototypes * head_dim * sizeof(float));
-    std::memcpy(vfused.data() + h * num_prototypes * head_dim, vh.data(),
-                num_prototypes * head_dim * sizeof(float));
-  }
-  w_q_ = std::make_unique<Linear>(std::move(wq), std::move(bq),
-                                  name_ + ".wq");
-  proto_k_ = autograd::make_leaf(std::move(kfused), true);
-  proto_v_ = autograd::make_leaf(std::move(vfused), true);
+  for (std::size_t h = 0; h < num_heads; ++h)
+    heads_.push_back(std::make_unique<PrototypeAttentionHead>(
+        in_features, head_dim, num_prototypes, rng,
+        name + ".h" + std::to_string(h)));
   w_o_ = std::make_unique<Linear>(out_features_, out_features_, rng,
-                                  name_ + ".wo");
+                                  name + ".wo");
 }
 
 autograd::Var MultiHeadPrototypeAttention::forward(const autograd::Var& x) {
-  // The per-head pipeline (scores -> softmax -> attended values) on fused
-  // operands: each step is ONE head-batched kernel invocation, and the
-  // matmul_heads output is already the column-wise concat of head results.
-  const float inv_sqrt_dk =
-      1.0F / std::sqrt(static_cast<float>(head_dim_));
-  auto q = w_q_->forward(x);
-  auto scores = autograd::scale(
-      autograd::matmul_nt_heads(q, proto_k_, num_heads_), inv_sqrt_dk);
-  auto weights = autograd::softmax_blocks(scores, num_heads_);
-  auto cat = autograd::matmul_heads(weights, proto_v_, num_heads_);
+  auto cat = heads_[0]->forward(x);
+  for (std::size_t h = 1; h < heads_.size(); ++h)
+    cat = autograd::concat_cols(cat, heads_[h]->forward(x));
   return w_o_->forward(cat);
 }
 
 std::vector<Parameter> MultiHeadPrototypeAttention::parameters() {
-  auto all = w_q_->parameters();
-  all.push_back({name_ + ".proto_k", proto_k_});
-  all.push_back({name_ + ".proto_v", proto_v_});
+  std::vector<Parameter> all;
+  for (auto& head : heads_)
+    for (auto& p : head->parameters()) all.push_back(p);
   for (auto& p : w_o_->parameters()) all.push_back(p);
   return all;
-}
-
-void MultiHeadPrototypeAttention::set_training(bool training) {
-  Module::set_training(training);
-  w_o_->set_training(training);
 }
 
 }  // namespace cal::nn

@@ -7,27 +7,21 @@
 // Transformer); for per-sample feature attention over a handful of learned
 // tokens it is equivalent in expressiveness to the ANVIL encoder layer.
 //
-// MultiHeadPrototypeAttention runs all heads FUSED: one query projection
-// whose column blocks are the per-head W_q, prototype keys/values stacked
-// row-wise, and the head-batched autograd ops (matmul_nt_heads /
-// softmax_blocks / matmul_heads) lowering to single strided batched GEMM
-// invocations instead of one GEMM per head. Initialisation draws per-head
-// parameters in the same RNG order as the per-head formulation, and the
-// batched kernels preserve each head's reduction order, so the fused
-// module is bit-identical to a loop over PrototypeAttentionHead (tests
-// assert this).
+// MultiHeadPrototypeAttention is a loop over PrototypeAttentionHead: each
+// head runs its own query projection and scaled dot-product attention (one
+// GEMM per head and step), the head outputs are concatenated column-wise,
+// and W_o mixes them.
 #pragma once
 
 #include <memory>
+#include <vector>
 
 #include "nn/linear.hpp"
 #include "nn/module.hpp"
 
 namespace cal::nn {
 
-/// One attention head: Q = x W_q attends over M learned prototypes. The
-/// fused module below supersedes looping over these; kept as the reference
-/// formulation (and for single-head users).
+/// One attention head: Q = x W_q attends over M learned prototypes.
 class PrototypeAttentionHead : public Module {
  public:
   PrototypeAttentionHead(std::size_t in_features, std::size_t head_dim,
@@ -37,18 +31,15 @@ class PrototypeAttentionHead : public Module {
   autograd::Var forward(const autograd::Var& x) override;
   std::vector<Parameter> parameters() override;
 
-  std::size_t head_dim() const { return head_dim_; }
-
  private:
-  std::size_t head_dim_;
   std::string name_;
   std::unique_ptr<Linear> w_q_;
   autograd::Var proto_k_;  // (M, head_dim)
   autograd::Var proto_v_;  // (M, head_dim)
 };
 
-/// Multi-head wrapper: all heads fused into head-batched GEMMs, head
-/// outputs (already concatenated by layout) mixed with W_o.
+/// Multi-head wrapper: num_heads PrototypeAttentionHeads, their outputs
+/// concatenated column-wise and mixed with W_o.
 class MultiHeadPrototypeAttention : public Module {
  public:
   MultiHeadPrototypeAttention(std::size_t in_features, std::size_t head_dim,
@@ -58,18 +49,12 @@ class MultiHeadPrototypeAttention : public Module {
 
   autograd::Var forward(const autograd::Var& x) override;
   std::vector<Parameter> parameters() override;
-  void set_training(bool training) override;
 
   std::size_t out_features() const { return out_features_; }
 
  private:
   std::size_t out_features_;
-  std::size_t num_heads_;
-  std::size_t head_dim_;
-  std::string name_;
-  std::unique_ptr<Linear> w_q_;  // (in, H·head_dim): column block per head
-  autograd::Var proto_k_;        // (H·M, head_dim): row block per head
-  autograd::Var proto_v_;        // (H·M, head_dim)
+  std::vector<std::unique_ptr<PrototypeAttentionHead>> heads_;
   std::unique_ptr<Linear> w_o_;
 };
 

@@ -72,11 +72,6 @@ std::string to_string(Admission a) {
 
 TokenBucket::TokenBucket(QuotaPolicy policy) { reconfigure(policy); }
 
-bool TokenBucket::unlimited() const {
-  MutexLock lock(mu_);
-  return policy_.rate_per_s <= 0.0;
-}
-
 void TokenBucket::reconfigure(QuotaPolicy policy) {
   CAL_ENSURE(policy.rate_per_s >= 0.0 && policy.burst >= 0.0,
              "quota must be non-negative: rate " << policy.rate_per_s
@@ -124,11 +119,6 @@ bool TokenBucket::try_acquire(std::chrono::steady_clock::time_point now) {
 // ---------------------------------------------------------------------------
 
 CircuitBreaker::CircuitBreaker(BreakerPolicy policy) { reconfigure(policy); }
-
-bool CircuitBreaker::enabled() const {
-  MutexLock lock(mu_);
-  return policy_.fault_threshold > 0;
-}
 
 void CircuitBreaker::reconfigure(BreakerPolicy policy) {
   if (policy.fault_threshold > 0) {
@@ -743,7 +733,6 @@ void ServeEngine::process(Claim& claim, Rng& rng) {
     Pending req;
     ServeResult res;
     FingerprintCache::Key key;
-    bool infer = false;
     bool audited = false;
     bool audit_mismatch = false;
     std::size_t cached_rp = 0;
@@ -799,8 +788,7 @@ void ServeEngine::process(Claim& claim, Rng& rng) {
           if (audit) {
             s.audited = true;
             s.cached_rp = *hit;
-            s.infer = true;  // re-infer to verify the cached answer
-            infer_rows.push_back(i);
+            infer_rows.push_back(i);  // re-infer to verify the cached answer
           } else {
             s.res.rp = *hit;
             s.res.localized = true;
@@ -809,7 +797,6 @@ void ServeEngine::process(Claim& claim, Rng& rng) {
           continue;
         }
       }
-      s.infer = true;
       infer_rows.push_back(i);
     }
 

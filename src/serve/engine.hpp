@@ -87,8 +87,6 @@ class TokenBucket {
   TokenBucket() = default;  ///< unlimited
   explicit TokenBucket(QuotaPolicy policy);
 
-  bool unlimited() const CAL_EXCLUDES(mu_);
-
   /// Take one token if available. Refills rate_per_s per second up to
   /// the burst cap, computed lazily from the elapsed monotonic time.
   CAL_HOT_PATH
@@ -145,8 +143,6 @@ class CircuitBreaker {
 
   CircuitBreaker() = default;  ///< disabled
   explicit CircuitBreaker(BreakerPolicy policy);
-
-  bool enabled() const CAL_EXCLUDES(mu_);
 
   /// Admission-side gate. Closed (or disabled): admit. Open: refuse until
   /// the current backoff interval elapses, then flip to HalfOpen and admit

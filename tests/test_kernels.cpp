@@ -279,78 +279,6 @@ TEST(Kernels, RejectsMissizedSpans) {
   EXPECT_THROW(kernels::set_max_threads(4), PreconditionError);
 }
 
-// --- batched / strided -----------------------------------------------------
-
-TEST(Kernels, BatchedNnIsBitIdenticalToLoopedGemm) {
-  // Dense contiguous batches across ragged shapes, including edge tiles.
-  const std::vector<Shape> shapes = {
-      {1, 3, 1}, {5, 7, 9}, {6, 16, 16}, {13, 31, 17}};
-  for (const auto& s : shapes) {
-    const std::size_t batch = 5;
-    const Tensor a = random_mat(s.m * 31 + s.k, batch * s.m, s.k);
-    const Tensor b = random_mat(s.k * 31 + s.n, batch * s.k, s.n);
-    std::vector<float> want(batch * s.m * s.n);
-    for (std::size_t e = 0; e < batch; ++e)
-      kernels::gemm_nn(a.flat().subspan(e * s.m * s.k, s.m * s.k),
-                       b.flat().subspan(e * s.k * s.n, s.k * s.n),
-                       std::span<float>(want).subspan(e * s.m * s.n,
-                                                      s.m * s.n),
-                       s.m, s.k, s.n);
-    std::vector<float> got(batch * s.m * s.n);
-    kernels::gemm_batched_nn(a.flat(), b.flat(), got, batch, s.m, s.k, s.n);
-    for (std::size_t i = 0; i < want.size(); ++i)
-      ASSERT_EQ(got[i], want[i])
-          << "batched diverged from looped at " << i << " (shape " << s.m
-          << "x" << s.k << "x" << s.n << ")";
-  }
-}
-
-TEST(Kernels, BatchedStridedHeadViewsMatchPerHeadLoop) {
-  // The fused-attention layout: Q is B x (H·D) with head h at column
-  // offset h·D, prototypes are (H·M) x D with head h at row offset h·M,
-  // scores land in B x (H·M) at column offset h·M. One strided batched-nt
-  // call must equal H separate gemm_nt calls over copied-out views.
-  const std::size_t rows = 9, heads = 3, d = 5, m = 7;
-  const Tensor q = random_mat(101, rows, heads * d);
-  const Tensor proto = random_mat(102, heads * m, d);
-  std::vector<float> want(rows * heads * m);
-  for (std::size_t h = 0; h < heads; ++h) {
-    Tensor qh({rows, d});
-    for (std::size_t i = 0; i < rows; ++i)
-      for (std::size_t j = 0; j < d; ++j)
-        qh.at(i, j) = q.at(i, h * d + j);
-    Tensor sh({rows, m});
-    kernels::gemm_nt(qh.flat(),
-                     proto.flat().subspan(h * m * d, m * d), sh.flat(),
-                     rows, d, m);
-    for (std::size_t i = 0; i < rows; ++i)
-      for (std::size_t j = 0; j < m; ++j)
-        want[i * heads * m + h * m + j] = sh.at(i, j);
-  }
-  std::vector<float> got(rows * heads * m);
-  kernels::BatchStrides st;
-  st.stride_a = d;
-  st.lda = heads * d;
-  st.stride_b = m * d;
-  st.stride_c = m;
-  st.ldc = heads * m;
-  kernels::gemm_batched_nt(q.flat(), proto.flat(), got, heads, rows, d, m,
-                           st);
-  for (std::size_t i = 0; i < want.size(); ++i)
-    ASSERT_EQ(got[i], want[i]) << "strided head view diverged at " << i;
-}
-
-TEST(Kernels, BatchedKZeroZeroFillsUnlessAccumulating) {
-  const std::size_t batch = 2, m = 3, n = 4;
-  std::vector<float> c(batch * m * n, 7.0F);
-  kernels::gemm_batched_nn({}, {}, c, batch, m, 0, n);
-  for (float v : c) EXPECT_EQ(v, 0.0F);
-  std::vector<float> kept(batch * m * n, 7.0F);
-  kernels::gemm_batched_nn({}, {}, kept, batch, m, 0, n, {},
-                           /*accumulate=*/true);
-  for (float v : kept) EXPECT_EQ(v, 7.0F);
-}
-
 // --- int8 quantized --------------------------------------------------------
 
 std::vector<std::int8_t> random_s8(std::uint64_t seed, std::size_t count) {
